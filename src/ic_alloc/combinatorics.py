@@ -53,7 +53,7 @@ def _range_sum(n: int, a: int, b: int, u: int) -> int:
     # sum_{v=a}^{b} C(n - v, u), empty when a > b
     if a > b:
         return 0
-    return binomial(n - a + 1, u + 1) - binomial(n - b, u + 1)
+    return comb(n - a + 1, u + 1) - comb(n - b, u + 1)
 
 
 def lex_rank(t, n: int) -> int:

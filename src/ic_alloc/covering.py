@@ -1,4 +1,4 @@
-"""Counting, ranking and unranking of *covering subsets*.
+"""Counting and ranking of *covering subsets*.
 
 The universe is a list of disjoint, ascending integer intervals
 ("blocks"), each optionally flagged as required.  A covering u-subset
@@ -23,7 +23,6 @@ from __future__ import annotations
 from math import comb
 
 from .combinatorics import _range_sum
-from .errors import RankOutOfRange
 
 Block = tuple[int, int, bool]  # (lo, hi, required), inclusive bounds
 
@@ -49,56 +48,60 @@ def _pools(blocks: list[Block]) -> list[tuple[int, bool]]:
     return [(hi - lo + 1, req) for lo, hi, req in blocks]
 
 
+def suffix_tables(blocks: list[Block], u: int) -> list[list[int]]:
+    """For each block, ways_by_count(..., u) over the blocks after it.  Its
+    prefixes serve every smaller u, and it depends only on the layout, so
+    callers ranking many tuples in one universe build it once."""
+    return [ways_by_count(_pools(blocks[bi + 1 :]), u) for bi in range(len(blocks))]
+
+
 def covering_count(blocks: list[Block], u: int) -> int:
     """Number of covering u-subsets of the block universe."""
     return ways_by_count(_pools(blocks), u)[u]
 
 
-def _block_of(v: int, blocks: list[Block]) -> int | None:
-    for bi, (lo, hi, _) in enumerate(blocks):
-        if lo <= v <= hi:
-            return bi
-    return None
-
-
-def count_below(t: tuple[int, ...], blocks: list[Block], d: int) -> int:
+def count_below(
+    t: tuple[int, ...], blocks: list[Block], d: int, suffix: list[list[int]] | None = None
+) -> int:
     """Number of covering d-subsets lexicographically smaller than t.
 
     t itself need not belong to the universe; the walk stops as soon as a
     prefix of t leaves it.  Cost is polynomial in d and the number of
     blocks and independent of the block widths, so it stays cheap even
-    when the blocks span millions of integers.
+    when the blocks span millions of integers.  suffix, when given, is
+    suffix_tables(blocks, d - 1).
     """
+    if suffix is None:
+        suffix = suffix_tables(blocks, d - 1)
     nb = len(blocks)
-    hit = [False] * nb
     total = 0
     prev = 0
-    for pos in range(d):
-        tj = t[pos]
+    last = -1  # block of the previous element; every required block up to it is hit
+    for pos, tj in enumerate(t[:d]):
         u = d - pos - 1
-        for bi, (lo, hi, req) in enumerate(blocks):
-            if lo > tj - 1:
-                break
+        # blocks before `last` lie wholly below prev and offer no candidate
+        bi = max(last, 0)
+        while True:
+            if bi == nb:
+                return total
+            lo, hi, req = blocks[bi]
+            if lo > tj:
+                return total  # tj falls in a gap
             va = max(prev + 1, lo)
             vb = min(tj - 1, hi)
             if va <= vb:
                 # a candidate v in this block satisfies the block's own
                 # requirement; completions draw u elements from the part of
                 # this block above v plus all later blocks
-                later = _pools(blocks[bi + 1 :])
-                ways = ways_by_count(later, u)
-                for x, wx in enumerate(ways):
+                for x, wx in enumerate(suffix[bi][: u + 1]):
                     if wx:
                         total += wx * _range_sum(hi, va, vb, u - x)
-            if req and not hit[bi]:
-                # nothing above this block can ever cover it
-                break
-        bt = _block_of(tj, blocks)
-        if bt is None:
-            break
-        if any(blocks[b][2] and not hit[b] for b in range(bt)):
-            break
-        hit[bt] = True
+            if hi >= tj:
+                break  # tj lies in this block
+            if req and bi > last:
+                return total  # a required block left behind can never be covered
+            bi += 1
+        last = bi
         prev = tj
     return total
 
@@ -106,57 +109,6 @@ def count_below(t: tuple[int, ...], blocks: list[Block], d: int) -> int:
 def rank_covering(t: tuple[int, ...], blocks: list[Block], d: int) -> int:
     """1-based lexicographic rank of t among the covering d-subsets."""
     return count_below(t, blocks, d) + 1
-
-
-def unrank_covering(blocks: list[Block], u: int, rank: int) -> tuple[int, ...]:
-    """The rank-th (1-based) covering u-subset in lexicographic order."""
-    total = covering_count(blocks, u)
-    if rank < 1 or rank > total:
-        raise RankOutOfRange(f"rank {rank} outside [1, {total}]")
-    out: list[int] = []
-    hit = [False] * len(blocks)
-    prev = 0
-    rem = rank
-    for pos in range(u):
-        left = u - pos - 1
-        placed = False
-        for bi, (lo, hi, req) in enumerate(blocks):
-            va = max(prev + 1, lo)
-            if va > hi:
-                continue
-            later = _pools(blocks[bi + 1 :])
-            ways = ways_by_count(later, left)
-
-            def upto(v: int) -> int:
-                # completions whose next element lies in [va, v]
-                return sum(
-                    wx * _range_sum(hi, va, v, left - x)
-                    for x, wx in enumerate(ways)
-                    if wx
-                )
-
-            block_total = upto(hi)
-            if rem > block_total:
-                rem -= block_total
-                if req and not hit[bi]:
-                    raise RankOutOfRange("rank exceeds covering subsets")
-                continue
-            lo_v, hi_v = va, hi
-            while lo_v < hi_v:
-                mid = (lo_v + hi_v) // 2
-                if upto(mid) >= rem:
-                    hi_v = mid
-                else:
-                    lo_v = mid + 1
-            rem -= upto(lo_v - 1)
-            out.append(lo_v)
-            hit[bi] = True
-            prev = lo_v
-            placed = True
-            break
-        if not placed:
-            raise RankOutOfRange("rank exceeds covering subsets")
-    return tuple(out)
 
 
 def interval_blocks(members: tuple[int, ...], universe: int) -> list[Block]:

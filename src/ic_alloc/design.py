@@ -27,21 +27,22 @@ with X, so successive task sets reuse the same placement.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
-from .combinatorics import DTuple, binomial, enumerate_lex, lex_rank, lex_unrank, validate_dtuple
+from .combinatorics import DTuple, binomial, enumerate_lex, validate_dtuple
 from .counting import (
     beta_range_excluded,
     beta_range_interior,
     block_bounds,
     block_index,
     card_R_beta_I,
-    m_beta,
     t_beta,
 )
-from .covering import Block, count_below, interval_blocks, unrank_covering
+from .covering import Block, count_below, suffix_tables
 from .errors import (
     DimensionMismatch,
     InstanceTooLarge,
@@ -282,15 +283,6 @@ def _part_sizes(total: int, parts: int) -> list[int]:
     return [q + 1] * r + [q] * (parts - r)
 
 
-def _part_index(position: int, total: int, parts: int) -> int:
-    """0-based slice index holding the given 1-based position."""
-    q, r = divmod(total, parts)
-    boundary = r * (q + 1)
-    if position <= boundary:
-        return (position - 1) // (q + 1)
-    return r + (position - boundary - 1) // q
-
-
 def _extend(prime: tuple[tuple[DTuple, ...], ...], params: ICParameters):
     """Split the N' groups into near-equal lexicographic slices and relabel
     slice b' of group b as group b + b' * N'."""
@@ -346,89 +338,147 @@ def pre_extension_sizes(base: BasePartition) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
-def _family_blocks(I: tuple[int, ...], params: ICParameters, with_excluded: bool) -> list[Block]:
-    size = params.family_size
-    blocks: list[Block] = [((i - 1) * size + 1, i * size, True) for i in I]
-    if with_excluded:
-        blocks.append((params.n_prime + 1, params.n, True))
-    return blocks
+class _SupportClass(NamedTuple):
+    """The tuples with support I (touching the excluded tail or not): their
+    block universe with its count_below suffix tables, their number, and the
+    labels they are dealt to in lexicographic order."""
+
+    blocks: list[Block]
+    suffix: list[list[int]]
+    size: int
+    eligible: list[tuple[int, ...]]
 
 
-def _sigma_rank_among_eligible(I: tuple[int, ...], sigma: tuple[int, ...], params: ICParameters) -> int:
-    blocks = interval_blocks(I, params.f)
-    return count_below(sigma, blocks, params.d) + 1
+class Router:
+    """The closed-form router of one parameter set.
+
+    Everything in it depends only on (n, d, N): the label ranks up front,
+    and, built on first use, each support class and each split label's cut
+    tuples, the first member of every slice after the first.  Its memory
+    is O(classes + split labels), never O(C(n, d)).
+    """
+
+    def __init__(self, params: ICParameters):
+        self.params = params
+        self.labels = list(combinations(range(1, params.f + 1), params.d))
+        self.label_rank = {sigma: b0 for b0, sigma in enumerate(self.labels, start=1)}
+        self._classes: dict[tuple[tuple[int, ...], bool], _SupportClass] = {}
+        self._cuts: dict[int, list[DTuple]] = {}
+
+    def support_class(self, I: tuple[int, ...], exc: bool) -> _SupportClass:
+        """The support class (I, exc), built on first use."""
+        cls = self._classes.get((I, exc))
+        if cls is None:
+            p = self.params
+            size, beta = p.family_size, len(I)
+            blocks: list[Block] = [((i - 1) * size + 1, i * size, True) for i in I]
+            if exc:
+                blocks.append((p.n_prime + 1, p.n, True))
+                count = card_R_beta_I(size, p.f, p.g, p.d, beta)
+            else:
+                count = t_beta(size, p.f, p.d, beta)
+            # the label tuples themselves, not equal copies
+            eligible = [self.labels[self.label_rank[s] - 1] for s in _eligible_groups(I, p.f, p.d)]
+            cls = self._classes[I, exc] = _SupportClass(
+                blocks, suffix_tables(blocks, p.d - 1), count, eligible
+            )
+        return cls
+
+    def label_of(self, t: DTuple) -> tuple[int, ...]:
+        """Label sigma of the pre-extension group holding t."""
+        p = self.params
+        size, n_prime = p.family_size, p.n_prime
+        fams: list[int] = []
+        for x in t:
+            if x <= n_prime:
+                i = (x - 1) // size + 1
+                if not fams or fams[-1] != i:
+                    fams.append(i)
+        I = tuple(fams)
+        exc = t[-1] > n_prime
+        if not exc and len(I) == p.d:
+            return I
+        cls = self.support_class(I, exc)
+        rho = count_below(t, cls.blocks, p.d, cls.suffix) + 1
+        return cls.eligible[block_index(cls.size, len(cls.eligible), rho) - 1]
+
+    def route(self, t: DTuple) -> int:
+        """Group index in [1, N] of a validated d-tuple t."""
+        p = self.params
+        b0 = self.label_rank[self.label_of(t)]
+        parts = p.p if b0 <= p.r else p.q
+        if parts == 1:
+            return b0
+        cuts = self._cuts.get(b0)
+        if cuts is None:
+            cuts = self._cuts[b0] = self._label_cuts(self.labels[b0 - 1], parts)
+        return b0 + bisect_right(cuts, t) * p.N_prime
+
+    def pieces(self, sigma: tuple[int, ...]) -> tuple[list[tuple[_SupportClass, int, int]], int]:
+        """The support classes dealing members to label sigma, each with the
+        1-based inclusive range of its lexicographic ranks that sigma gets,
+        and the group's size before extension.  The full-support class
+        (I = sigma) is dealt whole to sigma."""
+        p = self.params
+        kinds = [(beta_range_interior(p.family_size, p.d), False)]
+        if p.case == NONDIVISIBLE:
+            kinds.append((beta_range_excluded(p.family_size, p.g, p.d), True))
+        out = []
+        for betas, exc in kinds:
+            for beta in betas:
+                for I in combinations(sigma, beta):
+                    cls = self.support_class(I, exc)
+                    j = bisect_left(cls.eligible, sigma) + 1
+                    start, end = block_bounds(cls.size, len(cls.eligible), j)
+                    if start <= end:
+                        out.append((cls, start, end))
+        return out, sum(end - start + 1 for _, start, end in out)
+
+    def position(self, t: DTuple, pieces) -> int:
+        """1-based lexicographic position of t inside the group with these
+        pieces; for a t outside the group, 1 + the members below it."""
+        d = self.params.d
+        below = 0
+        for cls, start, end in pieces:
+            r_class = count_below(t, cls.blocks, d, cls.suffix)
+            below += min(max(r_class, start - 1), end) - (start - 1)
+        return below + 1
+
+    def _label_cuts(self, sigma: tuple[int, ...], parts: int) -> list[DTuple]:
+        """The first member of each of the label's slices after the first.
+        An empty slice (fewer members than slices) gets (n + 1,), which
+        sorts after every d-tuple."""
+        pieces, total = self.pieces(sigma)
+        cuts = []
+        first = 1
+        for size in _part_sizes(total, parts)[:-1]:
+            first += size
+            cuts.append(self._member_at(first, pieces) if first <= total else (self.params.n + 1,))
+        return cuts
+
+    def _member_at(self, position: int, pieces) -> DTuple:
+        """The group member at a 1-based position: the largest d-tuple whose
+        own position is at most that, fixed one element at a time by
+        binary search."""
+        n, d = self.params.n, self.params.d
+        prefix: DTuple = ()
+        for j in range(d):
+            rest = d - j - 1
+            lo, hi = (prefix[-1] if prefix else 0) + 1, n - rest
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if self.position(prefix + tuple(range(mid, mid + rest + 1)), pieces) <= position:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            prefix += (lo,)
+        return prefix
 
 
-def _class_size(I: tuple[int, ...], exc: bool, params: ICParameters) -> int:
-    beta = len(I)
-    if exc:
-        return card_R_beta_I(params.family_size, params.f, params.g, params.d, beta)
-    return t_beta(params.family_size, params.f, params.d, beta)
-
-
-def _prime_group_label(t: DTuple, params: ICParameters) -> tuple[int, ...]:
-    """Label sigma of the pre-extension group holding t, via block
-    arithmetic only."""
-    info = support_of(t, params)
-    if info.excluded_count == 0 and info.beta == params.d:
-        return info.families
-    exc = info.excluded_count > 0
-    blocks = _family_blocks(info.families, params, with_excluded=exc)
-    rho = count_below(t, blocks, params.d) + 1
-    t_cnt = _class_size(info.families, exc, params)
-    m_cnt = m_beta(params.f, params.d, info.beta)
-    j = block_index(t_cnt, m_cnt, rho)
-    return unrank_covering(interval_blocks(info.families, params.f), params.d, j)
-
-
-def _prime_group_size(sigma: tuple[int, ...], params: ICParameters) -> int:
-    """|group sigma| before extension, in closed form."""
-    d, f = params.d, params.f
-    size = params.family_size
-    total = t_beta(size, f, d, d)  # the full-support tuples owned outright
-    ranges: list[tuple[range, bool]] = [(beta_range_interior(size, d), False)]
-    if params.case == NONDIVISIBLE:
-        ranges.append((beta_range_excluded(size, params.g, d), True))
-    for rng, exc in ranges:
-        for beta in rng:
-            if beta >= d and not exc:
-                continue  # full-support tuples counted above
-            for I in combinations(sigma, beta):
-                t_cnt = _class_size(I, exc, params)
-                if t_cnt == 0:
-                    continue
-                m_cnt = m_beta(f, d, beta)
-                j = _sigma_rank_among_eligible(I, sigma, params)
-                start, end = block_bounds(t_cnt, m_cnt, j)
-                total += max(0, end - start + 1)
-    return total
-
-
-def _rank_in_prime_group(t: DTuple, sigma: tuple[int, ...], params: ICParameters) -> int:
-    """1-based lexicographic position of t inside its pre-extension group,
-    again without materializing anything."""
-    d, f = params.d, params.f
-    size = params.family_size
-    below = count_below(t, _family_blocks(sigma, params, with_excluded=False), d)
-    ranges: list[tuple[range, bool]] = [(beta_range_interior(size, d), False)]
-    if params.case == NONDIVISIBLE:
-        ranges.append((beta_range_excluded(size, params.g, d), True))
-    for rng, exc in ranges:
-        for beta in rng:
-            if beta >= d and not exc:
-                continue
-            for I in combinations(sigma, beta):
-                t_cnt = _class_size(I, exc, params)
-                if t_cnt == 0:
-                    continue
-                m_cnt = m_beta(f, d, beta)
-                j = _sigma_rank_among_eligible(I, sigma, params)
-                start, end = block_bounds(t_cnt, m_cnt, j)
-                if start > end:
-                    continue
-                r_class = count_below(t, _family_blocks(I, params, with_excluded=exc), d)
-                below += min(max(r_class, start - 1), end) - (start - 1)
-    return below + 1
+@lru_cache(maxsize=8)
+def router(params: ICParameters) -> Router:
+    """The Router of params, built once and shared by every call."""
+    return Router(params)
 
 
 def assign_base_group(t, params: ICParameters) -> int:
@@ -437,14 +487,7 @@ def assign_base_group(t, params: ICParameters) -> int:
     t = validate_dtuple(t, params.n)
     if len(t) != params.d:
         raise InvalidDimensions(f"tuple {t} does not have d={params.d} elements")
-    sigma = _prime_group_label(t, params)
-    b0 = lex_rank(sigma, params.f)
-    parts = params.p if b0 <= params.r else params.q
-    if parts == 1:
-        return b0
-    total = _prime_group_size(sigma, params)
-    position = _rank_in_prime_group(t, sigma, params)
-    return b0 + _part_index(position, total, parts) * params.N_prime
+    return router(params).route(t)
 
 
 # ---------------------------------------------------------------------------
@@ -478,33 +521,31 @@ def eligible_placement(params: ICParameters) -> tuple[tuple[int, ...], ...]:
     """Closed-form placement upper bound: group b may only ever touch the
     files of its parent label's families plus the excluded tail.  Used by
     the streaming path, where exact footprints would require
-    materialization."""
-    size = params.family_size
+    materialization.  Groups that share a label share one tuple, and
+    every tuple shares the file objects of the family tuples."""
+    families = build_families(params)
     tail = params.excluded
-    out = []
-    for b in range(1, params.N + 1):
-        b0 = (b - 1) % params.N_prime + 1
-        sigma = lex_unrank(b0, params.f, params.d)
-        files: list[int] = []
-        for i in sigma:
-            files.extend(range((i - 1) * size + 1, i * size + 1))
-        files.extend(tail)
-        out.append(tuple(files))
-    return tuple(out)
+    per_label = [
+        sum((families[i - 1] for i in sigma), ()) + tail
+        for sigma in combinations(range(1, params.f + 1), params.d)
+    ]
+    return tuple(per_label[b % params.N_prime] for b in range(params.N))
 
 
 def assign_tasks(params: ICParameters, tasks: TaskSet) -> FinalPartition:
-    """Streaming refinement: route every edge of X with assign_base_group,
-    never materializing the base partition.  The reported placement is the
-    eligible-files bound, a valid (slightly conservative) blind placement."""
+    """Streaming refinement: route every edge of X with the parameters'
+    Router, never materializing the base partition.  The reported placement
+    is the eligible-files bound, a valid (slightly conservative) blind
+    placement."""
     if tasks.n != params.n or tasks.d != params.d:
         raise DimensionMismatch(
             f"tasks are ({tasks.n},{tasks.d}) but parameters are "
             f"({params.n},{params.d})"
         )
+    rt = router(params)
     groups: list[list[DTuple]] = [[] for _ in range(params.N)]
-    for e in tasks.edges:
-        groups[assign_base_group(e, params) - 1].append(e)
+    for e in tasks.edges:  # validated when the TaskSet was built
+        groups[rt.route(e) - 1].append(e)
     return FinalPartition(
         n=params.n,
         d=params.d,

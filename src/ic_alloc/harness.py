@@ -4,15 +4,12 @@ multi-round blind-allocation simulation.
 
 Per-trial seeds derive from the master seed via the splitmix64 mix of
 (master_seed + trial_index * GOLDEN), so trials may run in any order or in
-parallel with identical results.  IC_ALLOC_THREADS, when set, caps the
-worker count used by these drivers (the current implementation evaluates
-trials sequentially, which always respects the cap).
+parallel with identical results.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 from .baselines import _GOLDEN, ThinningSpec, mix64, thin
@@ -20,18 +17,6 @@ from .counting import PhiMinResult, phi_min, pi_lower_bound
 from .design import FinalPartition, build_base_partition, derive_parameters, refine
 from .errors import DegenerateDenominator, ICAllocError
 from .metrics import CostReport, delta_of, full_report
-
-
-def max_workers() -> int:
-    """Parallelism cap from IC_ALLOC_THREADS (>= 1); defaults to 1."""
-    raw = os.environ.get("IC_ALLOC_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"IC_ALLOC_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"IC_ALLOC_THREADS must be >= 1, got {value}")
-    return value
 
 
 def trial_seed(master_seed: int, index: int) -> int:
@@ -65,7 +50,6 @@ def monte_carlo_delta(
     partition and summarize the observed balance factors."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    max_workers()  # validate the parallelism cap even though trials run sequentially
     params = derive_parameters(n, d, N)
     base = build_base_partition(params)
     group_edges = [frozenset(g) for g in base.groups]

@@ -65,7 +65,3 @@ class TaskSet:
     def full(n: int, d: int) -> "TaskSet":
         """The complete d-uniform task set on [1, n]."""
         return TaskSet(n, d, tuple(enumerate_lex(n, d)), phi=1.0)
-
-
-def edge_set(tasks: TaskSet) -> frozenset[DTuple]:
-    return frozenset(tasks.edges)

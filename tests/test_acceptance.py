@@ -249,19 +249,18 @@ def test_criterion_12_functional_consistency():
         (30, 2, 21), (30, 3, 9), (40, 2, 36), (8, 2, 6), (6, 6, 10),
     ]
     ok = True
+    tuples = 0
     for n, d, N in points:
         params = derive_parameters(n, d, N)
         base = build_base_partition(params)
-        membership = {t: b for b, g in enumerate(base.groups, start=1) for t in g}
-        rng = random.Random(n * 10007 + d * 101 + N)
-        universe = list(membership)
-        sample = [rng.choice(universe) for _ in range(1000)]
-        for t in sample:
-            if assign_base_group(t, params) != membership[t]:
-                ok = False
-                break
+        tuples += binomial(n, d)
+        ok = ok and all(
+            assign_base_group(t, params) == b
+            for b, g in enumerate(base.groups, start=1)
+            for t in g
+        )
     acceptance_line(
-        12, f"closed-form assignment matches membership on 1000 random tuples x {len(points)} points", ok
+        12, f"closed-form assignment matches membership on all {tuples} tuples of {len(points)} points", ok
     )
     assert ok
 

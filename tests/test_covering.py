@@ -2,18 +2,10 @@
 
 from itertools import combinations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ic_alloc.covering import (
-    count_below,
-    covering_count,
-    interval_blocks,
-    rank_covering,
-    unrank_covering,
-)
-from ic_alloc.errors import RankOutOfRange
+from ic_alloc.covering import count_below, covering_count, interval_blocks, rank_covering
 
 
 def brute_covering(blocks, u):
@@ -47,7 +39,6 @@ def test_count_and_order_match_bruteforce(blocks, u):
     assert covering_count(blocks, u) == len(expected)
     for i, t in enumerate(expected, start=1):
         assert rank_covering(t, blocks, u) == i
-        assert unrank_covering(blocks, u, i) == t
 
 
 @settings(max_examples=100, deadline=None)
@@ -60,15 +51,6 @@ def test_count_below_for_foreign_tuples(blocks, u, data):
     )))
     expected = sum(1 for c in brute_covering(blocks, u) if c < t)
     assert count_below(t, blocks, u) == expected
-
-
-def test_unrank_rejects_out_of_range():
-    blocks = [(1, 3, True), (4, 6, False)]
-    total = covering_count(blocks, 2)
-    with pytest.raises(RankOutOfRange):
-        unrank_covering(blocks, 2, 0)
-    with pytest.raises(RankOutOfRange):
-        unrank_covering(blocks, 2, total + 1)
 
 
 def test_interval_blocks_layout():
@@ -91,5 +73,4 @@ def test_superset_enumeration_via_interval_blocks():
     )
     assert covering_count(blocks, d) == len(expected)
     for i, sigma in enumerate(expected, start=1):
-        assert unrank_covering(blocks, d, i) == sigma
         assert rank_covering(sigma, blocks, d) == i

@@ -6,6 +6,7 @@ from ic_alloc.combinatorics import binomial, enumerate_lex, lex_unrank
 from ic_alloc.design import (
     DIVISIBLE,
     NONDIVISIBLE,
+    _prime_partition,
     assign_base_group,
     assign_tasks,
     build_base_partition,
@@ -15,6 +16,7 @@ from ic_alloc.design import (
     partition_from_groups,
     pre_extension_sizes,
     refine,
+    router,
     support_of,
 )
 from ic_alloc.errors import (
@@ -219,27 +221,64 @@ def test_group_count_ratio_where_k_uncapped():
 def test_assign_matches_materialized_membership(n, d, N):
     params = derive_parameters(n, d, N)
     base = build_base_partition(params)
-    membership = {t: b for b, g in enumerate(base.groups, start=1) for t in g}
-    rng = random.Random((n, d, N).__hash__())
-    universe = list(membership)
-    sample = universe if len(universe) <= 400 else rng.sample(universe, 400)
-    for t in sample:
-        assert assign_base_group(t, params) == membership[t], (n, d, N, t)
+    for b, g in enumerate(base.groups, start=1):
+        for t in g:
+            assert assign_base_group(t, params) == b, (n, d, N, t)
 
 
-def test_closed_form_size_and_rank_match_materialized_groups():
-    from itertools import combinations
+def test_router_matches_materialization_on_small_grid():
+    """Router against materialized membership for every tuple of every
+    supported (n <= 30, d in {2, 3}, N <= 40): 1,901 points, 1.38M routed
+    tuples.  Budget: about 10 s on a 2-core VM."""
+    for d in (2, 3):
+        for n in range(d, 31):
+            full = TaskSet.full(n, d)
+            for N in range(1, 41):
+                try:
+                    params = derive_parameters(n, d, N)
+                except UnsupportedParameters:
+                    continue
+                # both sides list every group's tuples in lexicographic order
+                streamed = assign_tasks(params, full).groups
+                assert streamed == build_base_partition(params).groups, (n, d, N)
 
-    from ic_alloc.design import _prime_group_size, _prime_partition, _rank_in_prime_group
 
+def test_label_pieces_size_and_position_match_materialized_groups():
     for n, d, N in [(7, 2, 3), (11, 2, 3), (13, 3, 4), (16, 4, 5), (12, 2, 7)]:
         params = derive_parameters(n, d, N)
-        prime = _prime_partition(n, d, params.k)
-        labels = list(combinations(range(1, params.f + 1), d))
-        for sigma, members in zip(labels, prime):
-            assert _prime_group_size(sigma, params) == len(members), (n, d, N, sigma)
+        rt = router(params)
+        for sigma, members in zip(rt.labels, _prime_partition(n, d, params.k)):
+            pieces, size = rt.pieces(sigma)
+            assert size == len(members), (n, d, N, sigma)
             for i, t in enumerate(members, start=1):
-                assert _rank_in_prime_group(t, sigma, params) == i, (n, d, N, sigma, t)
+                assert rt.position(t, pieces) == i, (n, d, N, sigma, t)
+
+
+@pytest.mark.parametrize("N,case", [(200, NONDIVISIBLE), (120, DIVISIBLE)])
+def test_router_invariants_beyond_materialization_cap(N, case):
+    """n=600, d=3: C(n, d) = 35,820,200 is never materialized, but the
+    router's label sizes must still tile it, each within the case's window
+    around C(n, d) / N', and every split label's cut tuples must be the
+    members that open its slices."""
+    n, d = 600, 3
+    params = derive_parameters(n, d, N)
+    assert params.case == case
+    with pytest.raises(InstanceTooLarge):
+        build_base_partition(params)
+    slack = (2**d - d) if case == DIVISIBLE else (2 ** (d + 1) - 2 * d)
+    rt = router(params)
+    sizes = [rt.pieces(sigma)[1] for sigma in rt.labels]
+    cnd = binomial(n, d)
+    assert len(sizes) == params.N_prime and sum(sizes) == cnd
+    for sz in sizes:
+        assert abs(sz * params.N_prime - cnd) <= slack * params.N_prime
+    for b0 in range(1, params.r + 1):
+        sigma = rt.labels[b0 - 1]
+        pieces, size = rt.pieces(sigma)
+        first = 1 + -(-size // params.p)  # the larger slices come first
+        cut = rt._label_cuts(sigma, params.p)[0]
+        assert rt.position(cut, pieces) == first
+        assert rt.route(cut) == b0 + params.N_prime
 
 
 def test_assign_rejects_wrong_arity():

@@ -47,21 +47,6 @@ def test_monte_carlo_rejects_zero_trials():
         monte_carlo_delta(30, 2, 5, phi=0.5, trials=0, master_seed=0)
 
 
-def test_thread_cap_env_var(monkeypatch):
-    from ic_alloc.harness import max_workers
-
-    monkeypatch.delenv("IC_ALLOC_THREADS", raising=False)
-    assert max_workers() == 1
-    monkeypatch.setenv("IC_ALLOC_THREADS", "4")
-    assert max_workers() == 4
-    monkeypatch.setenv("IC_ALLOC_THREADS", "zero")
-    with pytest.raises(ValueError):
-        max_workers()
-    monkeypatch.setenv("IC_ALLOC_THREADS", "0")
-    with pytest.raises(ValueError):
-        monte_carlo_delta(30, 2, 5, phi=1.0, trials=1, master_seed=0)
-
-
 def test_grid_points_cartesian_product():
     axes = {"n": [6, 7], "d": [2], "N": [3], "phi": [1.0, 0.5], "seed": [0]}
     pts = grid_points(axes)

@@ -33,7 +33,7 @@ from .design import (
 )
 from .harness import monte_carlo_delta, simulate_rounds, sweep
 from .metrics import CostReport, arf_of, delta_of, full_report, pi_of
-from .oracle import brute_force_pi_star, classify_by_support
+from .oracle import brute_force_pi_star, support_class_counts
 from .tasks import TaskSet
 
 __version__ = "0.1.0"
@@ -55,7 +55,6 @@ __all__ = [
     "build_families",
     "card_C_beta",
     "card_R_beta_I",
-    "classify_by_support",
     "counting_tables",
     "delta_of",
     "derive_parameters",
@@ -73,6 +72,7 @@ __all__ = [
     "random_partition",
     "refine",
     "simulate_rounds",
+    "support_class_counts",
     "support_of",
     "sweep",
     "t_beta",

@@ -5,17 +5,15 @@ The universe is a list of disjoint, ascending integer intervals
 draws u distinct elements from the union of the blocks and contains at
 least one element from every required block.
 
-Three families in the partition construction reduce to this shape:
+Two families in the partition construction reduce to this shape:
 
 * tuples supported by exactly the families in a set I: blocks are the
   member families, all required;
 * tuples supported by exactly I and touching the excluded tail: the same
-  blocks plus the excluded interval, all required;
-* group labels containing a fixed family set I: the universe is [1, f]
-  with the members of I as required singleton blocks.
+  blocks plus the excluded interval, all required.
 
-All counts are exact integers; ranks are 1-based and follow the
-lexicographic order of the subsets as sorted tuples.
+All counts are exact integers; "below" refers to the lexicographic
+order of the subsets as sorted tuples.
 """
 
 from __future__ import annotations
@@ -53,11 +51,6 @@ def suffix_tables(blocks: list[Block], u: int) -> list[list[int]]:
     prefixes serve every smaller u, and it depends only on the layout, so
     callers ranking many tuples in one universe build it once."""
     return [ways_by_count(_pools(blocks[bi + 1 :]), u) for bi in range(len(blocks))]
-
-
-def covering_count(blocks: list[Block], u: int) -> int:
-    """Number of covering u-subsets of the block universe."""
-    return ways_by_count(_pools(blocks), u)[u]
 
 
 def count_below(
@@ -104,23 +97,3 @@ def count_below(
         last = bi
         prev = tj
     return total
-
-
-def rank_covering(t: tuple[int, ...], blocks: list[Block], d: int) -> int:
-    """1-based lexicographic rank of t among the covering d-subsets."""
-    return count_below(t, blocks, d) + 1
-
-
-def interval_blocks(members: tuple[int, ...], universe: int) -> list[Block]:
-    """Blocks over [1, universe] with the given members as required
-    singletons and the gaps between them as free intervals."""
-    blocks: list[Block] = []
-    prev = 0
-    for m in members:
-        if prev + 1 <= m - 1:
-            blocks.append((prev + 1, m - 1, False))
-        blocks.append((m, m, True))
-        prev = m
-    if prev + 1 <= universe:
-        blocks.append((prev + 1, universe, False))
-    return blocks

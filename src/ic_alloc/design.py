@@ -544,7 +544,7 @@ def assign_tasks(params: ICParameters, tasks: TaskSet) -> FinalPartition:
         )
     rt = router(params)
     groups: list[list[DTuple]] = [[] for _ in range(params.N)]
-    for e in tasks.edges:  # validated when the TaskSet was built
+    for e in tasks.edges:  # canonical by the TaskSet contract; not validated again
         groups[rt.route(e) - 1].append(e)
     return FinalPartition(
         n=params.n,

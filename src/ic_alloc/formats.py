@@ -30,7 +30,9 @@ _TASK_META_KEYS = ("format_version", "phi", "seed", "generator")
 
 
 def parse_tasks(text: str) -> TaskSet:
-    """Parse the task-set text format into a canonical TaskSet."""
+    """Parse the task-set text format into a canonical TaskSet.  Every edge
+    line is validated here, errors carrying its line number, so the
+    TaskSet is built from the checked edges without a second pass."""
     header: tuple[int, int, int] | None = None
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()

@@ -43,7 +43,7 @@ def delta_of(p: FinalPartition | BasePartition, N: int | None = None) -> float:
     return max(len(g) for g in p.groups) / math.ceil(total / N)
 
 
-def arf_of(p: FinalPartition | BasePartition, n: int | None = None, N: int | None = None) -> float:
+def arf_of(p: FinalPartition | BasePartition, n: int | None = None) -> float:
     """Average replication factor: (1/n) * sum of group footprint sizes.
     Empty groups contribute 0."""
     if n is None:
@@ -219,7 +219,7 @@ def full_report(
 
     pi = pi_of(p)
     delta = delta_of(p, N)
-    arf = arf_of(p, n, N)
+    arf = arf_of(p, n)
 
     if task_count > 0 and phi > 0:
         pi_lb = pi_lower_bound(n, d, N, min(phi, 1.0))

@@ -1,6 +1,6 @@
 """Independent ground truth at tiny scale: exhaustive optimal
-communication cost via branch and bound, and brute-force support
-classifiers that validate the closed-form counting."""
+communication cost via branch and bound, and a brute-force support
+classifier that validates the closed-form counting."""
 
 from __future__ import annotations
 
@@ -72,50 +72,21 @@ def brute_force_pi_star(
     return best, witness
 
 
-def classify_by_support(n: int, d: int, s: int, cap: int = 10**6) -> dict[int, int]:
-    """Enumerate the complete d-uniform set over [n] = s * f files and
-    tabulate how many tuples touch exactly beta of the f contiguous
-    size-s families."""
-    if n % s != 0:
-        raise ValueError(f"s={s} must divide n={n}")
-    if binomial(n, d) > cap:
-        raise InstanceTooLarge(f"C({n},{d}) exceeds cap {cap}")
-    counts: dict[int, int] = {}
-    for t in enumerate_lex(n, d):
-        beta = len({(x - 1) // s for x in t})
-        counts[beta] = counts.get(beta, 0) + 1
-    return counts
-
-
-def classify_by_support_family(
-    n: int, d: int, s: int, cap: int = 10**6
-) -> dict[tuple[int, ...], int]:
-    """As classify_by_support but keyed by the support set itself."""
-    if n % s != 0:
-        raise ValueError(f"s={s} must divide n={n}")
-    if binomial(n, d) > cap:
-        raise InstanceTooLarge(f"C({n},{d}) exceeds cap {cap}")
-    counts: dict[tuple[int, ...], int] = {}
-    for t in enumerate_lex(n, d):
-        key = tuple(sorted({(x - 1) // s + 1 for x in t}))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def classify_excluded(
-    n: int, d: int, s0: int, g: int, cap: int = 10**6
-) -> dict[tuple[int, ...], int]:
-    """Classify the tuples touching the excluded tail (the top g files) by
-    their exact support over the size-s0 families tiling [1, n - g]."""
+def support_class_counts(
+    n: int, d: int, s: int, g: int = 0, cap: int = 10**6
+) -> dict[tuple[bool, tuple[int, ...]], int]:
+    """Enumerate the complete d-uniform set over [n] and count its tuples
+    by (touches_tail, support): whether a tuple has an element in the
+    excluded tail (the top g files), and the 1-based indices of the
+    contiguous size-s families tiling [1, n - g] that it touches."""
     n_prime = n - g
-    if n_prime % s0 != 0:
-        raise ValueError(f"s0={s0} must divide n-g={n_prime}")
+    if n_prime % s != 0:
+        raise ValueError(f"s={s} must divide n-g={n_prime}")
     if binomial(n, d) > cap:
         raise InstanceTooLarge(f"C({n},{d}) exceeds cap {cap}")
-    counts: dict[tuple[int, ...], int] = {}
+    counts: dict[tuple[bool, tuple[int, ...]], int] = {}
     for t in enumerate_lex(n, d):
-        if t[-1] <= n_prime:
-            continue
-        key = tuple(sorted({(x - 1) // s0 + 1 for x in t if x <= n_prime}))
+        support = tuple(sorted({(x - 1) // s + 1 for x in t if x <= n_prime}))
+        key = (t[-1] > n_prime, support)
         counts[key] = counts.get(key, 0) + 1
     return counts

@@ -15,6 +15,11 @@ class TaskSet:
     """An edge set X over n files, every edge a strictly increasing
     d-tuple, stored sorted lexicographically with no duplicates.
 
+    The constructor checks only 1 <= d <= n and takes the edges as given:
+    callers holding edges in that canonical form (thin, full, parse_tasks)
+    build it directly.  Edges from anywhere else go through from_edges,
+    which validates them.
+
     phi / seed / generator_id record how X was sampled, when it was.
     """
 
@@ -28,14 +33,6 @@ class TaskSet:
     def __post_init__(self):
         if self.d < 1 or self.d > self.n:
             raise InvalidDimensions(f"need 1 <= d <= n, got n={self.n}, d={self.d}")
-        prev = None
-        for e in self.edges:
-            validate_dtuple(e, self.n)
-            if len(e) != self.d:
-                raise InvalidDimensions(f"edge {e} does not have {self.d} elements")
-            if prev is not None and e <= prev:
-                raise DuplicateEdge(f"edges not in strict lexicographic order at {e}")
-            prev = e
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -54,11 +51,15 @@ class TaskSet:
         seed: int | None = None,
         generator_id: str | None = None,
     ) -> "TaskSet":
-        """Canonicalize arbitrary edge input: validate, sort, reject dupes."""
+        """Canonicalize arbitrary edge input: validate every edge as a
+        strictly increasing d-tuple over [1, n], sort, reject dupes."""
         canon = sorted(validate_dtuple(e, n) for e in edges)
         for a, b in zip(canon, canon[1:]):
             if a == b:
                 raise DuplicateEdge(f"edge {a} listed twice")
+        for e in canon:
+            if len(e) != d:
+                raise InvalidDimensions(f"edge {e} does not have {d} elements")
         return TaskSet(n, d, tuple(canon), phi=phi, seed=seed, generator_id=generator_id)
 
     @staticmethod

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from ic_alloc.combinatorics import binomial
 from ic_alloc.design import build_base_partition, derive_parameters, pre_extension_sizes
 from ic_alloc.errors import UnsupportedParameters
+from ic_alloc.oracle import support_class_counts
 
 GRID_N_MAX = 60
 GRID_D = (2, 3)
@@ -90,3 +92,12 @@ def grid_points(grid_sweep) -> list[GridPoint]:
 
 def acceptance_line(num: int, description: str, ok: bool) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {description}")
+
+
+def counts_by_beta(n: int, d: int, s: int) -> dict[int, int]:
+    """Brute-force tuple counts of the complete set over [n] by the number
+    beta of size-s families each tuple touches."""
+    by_beta: Counter[int] = Counter()
+    for (_, support), count in support_class_counts(n, d, s).items():
+        by_beta[len(support)] += count
+    return dict(by_beta)

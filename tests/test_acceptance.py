@@ -5,7 +5,7 @@ import math
 import random
 import time
 
-from conftest import acceptance_line
+from conftest import acceptance_line, counts_by_beta
 from ic_alloc.baselines import ThinningSpec
 from ic_alloc.combinatorics import binomial, enumerate_lex
 from ic_alloc.counting import (
@@ -25,7 +25,7 @@ from ic_alloc.design import (
 )
 from ic_alloc.harness import monte_carlo_delta, simulate_rounds
 from ic_alloc.metrics import TOL, arf_of, delta_of, pi_of
-from ic_alloc.oracle import brute_force_pi_star, classify_by_support, classify_excluded
+from ic_alloc.oracle import brute_force_pi_star, support_class_counts
 from ic_alloc.tasks import TaskSet
 
 # the large-n grid for the constant-factor guarantees, which need d <= n/32
@@ -139,15 +139,16 @@ def test_criterion_7_counting_identities():
     # closed forms match enumeration at n <= 20
     for n, d, s in [(6, 2, 2), (12, 2, 3), (12, 3, 4), (16, 4, 4), (20, 2, 5), (18, 3, 3)]:
         f = n // s
-        by_beta = classify_by_support(n, d, s)
+        by_beta = counts_by_beta(n, d, s)
         for beta in beta_range_interior(s, d):
             if beta <= f:
                 ok = ok and by_beta.get(beta, 0) == card_C_beta(s, f, d, beta)
     for s0, f, g, d in [(2, 3, 1, 2), (2, 3, 4, 2), (3, 3, 2, 3), (2, 4, 3, 3)]:
         n = s0 * f + g
-        observed = classify_excluded(n, d, s0, g)
-        for I, count in observed.items():
-            ok = ok and count == card_R_beta_I(s0, f, g, d, len(I))
+        observed = support_class_counts(n, d, s0, g)
+        for (touches_tail, I), count in observed.items():
+            if touches_tail:
+                ok = ok and count == card_R_beta_I(s0, f, g, d, len(I))
         closed = sum(
             binomial(f, beta) * card_R_beta_I(s0, f, g, d, beta)
             for beta in beta_range_excluded(s0, g, d)

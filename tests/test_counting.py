@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from conftest import counts_by_beta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from ic_alloc.errors import (
     IndexOutOfRange,
     InvalidPhi,
 )
-from ic_alloc.oracle import classify_by_support, classify_by_support_family, classify_excluded
+from ic_alloc.oracle import support_class_counts
 
 
 # --- t_beta / card_C_beta -------------------------------------------------
@@ -95,13 +96,12 @@ def test_interior_matches_enumeration():
             for d in (2, 3, 4):
                 if d > n or f < d:
                     continue
-                by_beta = classify_by_support(n, d, s)
+                by_beta = counts_by_beta(n, d, s)
                 for beta in beta_range_interior(s, d):
                     if beta > f:
                         continue
                     assert by_beta.get(beta, 0) == card_C_beta(s, f, d, beta)
-                by_family = classify_by_support_family(n, d, s)
-                for I, count in by_family.items():
+                for (_, I), count in support_class_counts(n, d, s).items():
                     assert count == t_beta(s, f, d, len(I))
 
 
@@ -158,9 +158,10 @@ def test_card_R_matches_enumeration():
     for s0, f, g, d in [(2, 3, 1, 2), (2, 3, 4, 2), (3, 3, 2, 3), (2, 4, 3, 3), (1, 5, 2, 2)]:
         n_prime = s0 * f
         n = n_prime + g
-        observed = classify_excluded(n, d, s0, g)
-        for I, count in observed.items():
-            assert count == card_R_beta_I(s0, f, g, d, len(I)), (s0, f, g, d, I)
+        observed = support_class_counts(n, d, s0, g)
+        for (touches_tail, I), count in observed.items():
+            if touches_tail:
+                assert count == card_R_beta_I(s0, f, g, d, len(I)), (s0, f, g, d, I)
         # non-negativity across the whole admissible range
         for beta in beta_range_excluded(s0, g, d):
             if beta <= f:

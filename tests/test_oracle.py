@@ -1,18 +1,14 @@
 import random
 
 import pytest
+from conftest import counts_by_beta
 
 from ic_alloc.combinatorics import binomial, enumerate_lex
 from ic_alloc.counting import pi_lower_bound_int
 from ic_alloc.design import build_base_partition, derive_parameters, refine
 from ic_alloc.errors import InstanceTooLarge
 from ic_alloc.metrics import pi_of
-from ic_alloc.oracle import (
-    brute_force_pi_star,
-    classify_by_support,
-    classify_by_support_family,
-    classify_excluded,
-)
+from ic_alloc.oracle import brute_force_pi_star, support_class_counts
 from ic_alloc.tasks import TaskSet
 
 EXAMPLE1_X = TaskSet.from_edges(7, 2, [(1, 2), (1, 3), (2, 3), (4, 5), (3, 6), (2, 7)])
@@ -80,29 +76,36 @@ def test_caps_enforced():
 
 
 def test_classify_by_support_goldens():
-    assert classify_by_support(6, 2, 2) == {1: 3, 2: 12}
-    assert classify_by_support(4, 2, 2) == {1: 2, 2: 4}
-    assert classify_by_support(4, 4, 2) == {2: 1}
+    assert counts_by_beta(6, 2, 2) == {1: 3, 2: 12}
+    assert counts_by_beta(4, 2, 2) == {1: 2, 2: 4}
+    assert counts_by_beta(4, 4, 2) == {2: 1}
+    assert support_class_counts(4, 2, 2) == {
+        (False, (1,)): 1, (False, (1, 2)): 4, (False, (2,)): 1,
+    }
 
 
 def test_classify_totals():
     for n, d, s in [(6, 2, 2), (12, 3, 4), (9, 3, 3)]:
-        assert sum(classify_by_support(n, d, s).values()) == binomial(n, d)
-        by_family = classify_by_support_family(n, d, s)
-        assert sum(by_family.values()) == binomial(n, d)
+        counts = support_class_counts(n, d, s)
+        assert sum(counts.values()) == binomial(n, d)
+        assert not any(touches_tail for touches_tail, _ in counts)
 
 
 def test_classify_excluded_totals():
     n, d, s0, g = 11, 2, 3, 2
-    observed = classify_excluded(n, d, s0, g)
-    assert sum(observed.values()) == binomial(n, d) - binomial(n - g, d)
+    counts = support_class_counts(n, d, s0, g)
+    excluded = sum(c for (touches_tail, _), c in counts.items() if touches_tail)
+    assert excluded == binomial(n, d) - binomial(n - g, d)
+    assert sum(counts.values()) == binomial(n, d)
 
 
 def test_classify_caps():
     with pytest.raises(InstanceTooLarge):
-        classify_by_support(100, 4, 2, cap=10**4)
+        support_class_counts(100, 4, 2, cap=10**4)
     with pytest.raises(ValueError):
-        classify_by_support(7, 2, 2)  # s must divide n
+        support_class_counts(7, 2, 2)  # s must divide n
+    with pytest.raises(ValueError):
+        support_class_counts(11, 2, 3, 1)  # s0 must divide n - g
 
 
 def test_sandwich_on_random_tiny_instances():

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .combinatorics import binomial, enumerate_lex, lex_rank
-from .design import FinalPartition, partition_from_groups
+from .combinatorics import _rank, binomial, enumerate_lex
+from .counting import block_bounds
+from .design import FinalPartition, _own_placement
 from .errors import InvalidPhi
 from .tasks import TaskSet
 
@@ -75,14 +76,11 @@ def lex_partition(tasks: TaskSet, N: int) -> FinalPartition:
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     edges = tasks.edges  # already lexicographically sorted
-    q, r = divmod(len(edges), N)
     groups = []
-    offset = 0
-    for b in range(N):
-        size = q + 1 if b < r else q
-        groups.append(edges[offset : offset + size])
-        offset += size
-    return partition_from_groups(tasks.n, tasks.d, groups, metadata={"baseline": "lex"})
+    for j in range(1, N + 1):
+        start, end = block_bounds(len(edges), N, j)
+        groups.append(edges[start - 1 : end])
+    return _own_placement(tasks.n, tasks.d, tuple(groups), {"baseline": "lex"})
 
 
 def random_partition(tasks: TaskSet, N: int, seed: int) -> FinalPartition:
@@ -91,14 +89,13 @@ def random_partition(tasks: TaskSet, N: int, seed: int) -> FinalPartition:
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     groups: list[list] = [[] for _ in range(N)]
-    for t in tasks.edges:
-        rank = lex_rank(t, tasks.n)
-        groups[(tuple_draw(seed, rank) * N) >> 64].append(t)
-    return partition_from_groups(
+    for t in tasks.edges:  # canonical by the TaskSet contract; not validated again
+        groups[(tuple_draw(seed, _rank(t, tasks.n)) * N) >> 64].append(t)
+    return _own_placement(
         tasks.n,
         tasks.d,
-        groups,
-        metadata={"baseline": "random", "seed": seed, "generator_id": GENERATOR_ID},
+        tuple(tuple(g) for g in groups),
+        {"baseline": "random", "seed": seed, "generator_id": GENERATOR_ID},
     )
 
 

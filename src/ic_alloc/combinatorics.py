@@ -59,7 +59,11 @@ def _range_sum(n: int, a: int, b: int, u: int) -> int:
 def lex_rank(t, n: int) -> int:
     """1-based position of d-tuple t in the lexicographic enumeration of
     d-subsets of [1, n]."""
-    t = validate_dtuple(t, n)
+    return _rank(validate_dtuple(t, n), n)
+
+
+def _rank(t: DTuple, n: int) -> int:
+    # lex_rank of a tuple already known to be canonical
     d = len(t)
     smaller = 0
     prev = 0

@@ -54,18 +54,16 @@ def suffix_tables(blocks: list[Block], u: int) -> list[list[int]]:
 
 
 def count_below(
-    t: tuple[int, ...], blocks: list[Block], d: int, suffix: list[list[int]] | None = None
+    t: tuple[int, ...], blocks: list[Block], d: int, suffix: list[list[int]]
 ) -> int:
     """Number of covering d-subsets lexicographically smaller than t.
 
     t itself need not belong to the universe; the walk stops as soon as a
     prefix of t leaves it.  Cost is polynomial in d and the number of
     blocks and independent of the block widths, so it stays cheap even
-    when the blocks span millions of integers.  suffix, when given, is
+    when the blocks span millions of integers.  suffix is
     suffix_tables(blocks, d - 1).
     """
-    if suffix is None:
-        suffix = suffix_tables(blocks, d - 1)
     nb = len(blocks)
     total = 0
     prev = 0

@@ -82,11 +82,6 @@ class ICParameters:
     def family_size(self) -> int:
         return self.s if self.case == DIVISIBLE else self.s0
 
-    def family_span(self, i: int) -> tuple[int, int]:
-        """Inclusive file-index bounds of family i (1-based)."""
-        size = self.family_size
-        return (i - 1) * size + 1, i * size
-
     def family_of(self, x: int) -> int | None:
         """Family index of file x, or None when x is excluded."""
         if x > self.n_prime:
@@ -278,23 +273,19 @@ def _prime_partition(n: int, d: int, k: int) -> tuple[tuple[DTuple, ...], ...]:
     return tuple(tuple(sorted(groups[sigma])) for sigma in labels)
 
 
-def _part_sizes(total: int, parts: int) -> list[int]:
-    q, r = divmod(total, parts)
-    return [q + 1] * r + [q] * (parts - r)
-
-
-def _extend(prime: tuple[tuple[DTuple, ...], ...], params: ICParameters):
+def _extend(
+    prime: tuple[tuple[DTuple, ...], ...], params: ICParameters
+) -> tuple[tuple[DTuple, ...], ...]:
     """Split the N' groups into near-equal lexicographic slices and relabel
-    slice b' of group b as group b + b' * N'."""
-    N, N_prime, q, p, r = params.N, params.N_prime, params.q, params.p, params.r
-    out: list[list[DTuple]] = [[] for _ in range(N)]
+    slice j of group b as group b + (j - 1) * N'."""
+    N_prime, q, p, r = params.N_prime, params.q, params.p, params.r
+    out: list[tuple[DTuple, ...]] = [()] * params.N
     for b0, members in enumerate(prime, start=1):
         parts = p if b0 <= r else q
-        offset = 0
-        for b_extra, size in enumerate(_part_sizes(len(members), parts)):
-            out[b0 + b_extra * N_prime - 1] = list(members[offset : offset + size])
-            offset += size
-    return out
+        for j in range(1, parts + 1):
+            start, end = block_bounds(len(members), parts, j)
+            out[b0 + (j - 1) * N_prime - 1] = members[start - 1 : end]
+    return tuple(out)
 
 
 def build_base_partition(
@@ -311,16 +302,22 @@ def build_base_partition(
             f"C({params.n},{params.d}) = {total} exceeds the materialization "
             f"cap {max_tuples}; use the streaming interface"
         )
-    prime = _prime_partition(params.n, params.d, params.k)
-    groups = _extend(prime, params)
-    footprints = tuple(
-        tuple(sorted({x for t in g for x in t})) for g in groups
-    )
+    groups = _extend(_prime_partition(params.n, params.d, params.k), params)
     return BasePartition(
         params=params,
-        groups=tuple(tuple(g) for g in groups),
-        footprints=footprints,
+        groups=groups,
+        footprints=tuple(footprint(g) for g in groups),
     )
+
+
+def footprint(group) -> tuple[int, ...]:
+    """The distinct files a group of tuples touches, ascending."""
+    return tuple(sorted({x for t in group for x in t}))
+
+
+def _within_placement(p: FinalPartition) -> bool:
+    """Whether every group touches only files of its own placement entry."""
+    return all(set(held).issuperset(footprint(g)) for g, held in zip(p.groups, p.placement))
 
 
 def pre_extension_sizes(base: BasePartition) -> list[int]:
@@ -450,9 +447,8 @@ class Router:
         sorts after every d-tuple."""
         pieces, total = self.pieces(sigma)
         cuts = []
-        first = 1
-        for size in _part_sizes(total, parts)[:-1]:
-            first += size
+        for j in range(2, parts + 1):
+            first, _ = block_bounds(total, parts, j)
             cuts.append(self._member_at(first, pieces) if first <= total else (self.params.n + 1,))
         return cuts
 
@@ -560,15 +556,19 @@ def assign_tasks(params: ICParameters, tasks: TaskSet) -> FinalPartition:
 def partition_from_groups(
     n: int, d: int, groups, metadata: dict | None = None
 ) -> FinalPartition:
-    """Wrap explicit groups (e.g. a baseline partitioner's output or a
-    hand-written partition) with their own footprints as placement."""
-    canon = tuple(
-        tuple(validate_dtuple(t, n) for t in g) for g in groups
+    """Wrap explicit groups (e.g. a hand-written partition) with their own
+    footprints as placement.  Every tuple is validated."""
+    return _own_placement(
+        n, d, tuple(tuple(validate_dtuple(t, n) for t in g) for g in groups), metadata
     )
-    placement = tuple(tuple(sorted({x for t in g for x in t})) for g in canon)
+
+
+def _own_placement(n: int, d: int, groups, metadata: dict | None) -> FinalPartition:
+    """Groups of canonical tuples, taken as given, with their own footprints
+    as placement."""
     return FinalPartition(
-        n=n, d=d, N=len(canon), groups=canon, placement=placement,
-        params=None, metadata=metadata,
+        n=n, d=d, N=len(groups), groups=groups,
+        placement=tuple(footprint(g) for g in groups), params=None, metadata=metadata,
     )
 
 

@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 from .baselines import _GOLDEN, ThinningSpec, mix64, thin
 from .counting import PhiMinResult, phi_min, pi_lower_bound
-from .design import FinalPartition, build_base_partition, derive_parameters, refine
+from .design import (
+    FinalPartition,
+    _within_placement,
+    build_base_partition,
+    derive_parameters,
+    refine,
+)
 from .errors import DegenerateDenominator, ICAllocError
 from .metrics import CostReport, delta_of, full_report
 
@@ -50,9 +56,7 @@ def monte_carlo_delta(
     partition and summarize the observed balance factors."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    params = derive_parameters(n, d, N)
-    base = build_base_partition(params)
-    group_edges = [frozenset(g) for g in base.groups]
+    base = build_base_partition(derive_parameters(n, d, N))
 
     try:
         pm = phi_min(n, d, N)
@@ -63,12 +67,8 @@ def monte_carlo_delta(
     deltas: list[float] = []
     ok = 0
     for i in range(trials):
-        spec = ThinningSpec(phi=phi, seed=trial_seed(master_seed, i))
-        x = thin(n, d, spec)
-        kept = frozenset(x.edges)
-        sizes = [len(kept & g) for g in group_edges]
-        total = sum(sizes)
-        delta = 0.0 if total == 0 else max(sizes) / math.ceil(total / N)
+        x = thin(n, d, ThinningSpec(phi=phi, seed=trial_seed(master_seed, i)))
+        delta = delta_of(refine(base, x))
         deltas.append(delta)
         if delta <= 5.0:
             ok += 1
@@ -141,13 +141,10 @@ def sweep(points) -> list[SweepRecord]:
             continue
         full = full_report(base, params, 1.0)
         if phi >= 1.0:
-            delta_x = full.delta
             refined_report = full
         else:
             tasks = thin(n, d, ThinningSpec(phi=phi, seed=seed))
-            fp = refine(base, tasks)
-            delta_x = delta_of(fp, N)
-            refined_report = full_report(fp, params, phi)
+            refined_report = full_report(refine(base, tasks), params, phi)
         records.append(
             SweepRecord(
                 n=n,
@@ -163,7 +160,7 @@ def sweep(points) -> list[SweepRecord]:
                 pi_lb=pi_lower_bound(n, d, N, phi) if phi > 0 else 0.0,
                 gap=full.gap,
                 delta=full.delta,
-                delta_x=delta_x,
+                delta_x=refined_report.delta,
                 arf=full.arf,
                 bounds_ok=full.bounds_ok and refined_report.bounds_ok,
             )
@@ -219,10 +216,7 @@ def simulate_rounds(
         tasks = thin(n, d, spec)
         fp = refine(base, tasks)
         blobs.append(_placement_bytes(fp))
-        for g, held in zip(fp.groups, fp.placement):
-            held_set = set(held)
-            if any(x not in held_set for t in g for x in t):
-                feasible = False
+        feasible = _within_placement(fp) and feasible
         reports.append(full_report(fp, params, spec.phi))
     identical = all(b == blobs[0] for b in blobs)
     return SimulationResult(

@@ -14,41 +14,34 @@ from dataclasses import dataclass, field
 from .combinatorics import binomial
 from .counting import phi_min, pi_lower_bound, pi_lower_bound_int
 from .errors import DegenerateDenominator
-from .design import DIVISIBLE, BasePartition, FinalPartition, ICParameters
+from .design import DIVISIBLE, BasePartition, FinalPartition, ICParameters, footprint
 
 TOL = 1e-9
 
 
-def footprint(edges) -> set[int]:
-    """Distinct file indices touched by a group."""
-    return {x for t in edges for x in t}
+def _footprint_sizes(p: FinalPartition | BasePartition) -> list[int]:
+    return [len(footprint(g)) for g in p.groups]
 
 
 def pi_of(p: FinalPartition | BasePartition) -> int:
     """Communication cost: max over groups of distinct-file count.  0 for
     an all-empty partition."""
-    if not p.groups:
-        return 0
-    return max(len(footprint(g)) for g in p.groups)
+    return max(_footprint_sizes(p), default=0)
 
 
-def delta_of(p: FinalPartition | BasePartition, N: int | None = None) -> float:
-    """Computation cost: max group size over the ideal load ceil(|X|/N).
-    0 when X is empty."""
-    if N is None:
-        N = len(p.groups)
+def delta_of(p: FinalPartition | BasePartition) -> float:
+    """Computation cost: max group size over the ideal load ceil(|X|/N),
+    N the number of groups.  0 when X is empty."""
     total = sum(len(g) for g in p.groups)
     if total == 0:
         return 0.0
-    return max(len(g) for g in p.groups) / math.ceil(total / N)
+    return max(len(g) for g in p.groups) / math.ceil(total / len(p.groups))
 
 
-def arf_of(p: FinalPartition | BasePartition, n: int | None = None) -> float:
+def arf_of(p: FinalPartition | BasePartition) -> float:
     """Average replication factor: (1/n) * sum of group footprint sizes.
     Empty groups contribute 0."""
-    if n is None:
-        n = p.n
-    return sum(len(footprint(g)) for g in p.groups) / n
+    return sum(_footprint_sizes(p)) / p.n
 
 
 @dataclass(frozen=True)
@@ -125,7 +118,6 @@ def guarantee_regime(params: ICParameters) -> bool:
 
 
 def promised_bounds(
-    p: FinalPartition | BasePartition,
     params: ICParameters,
     phi: float,
     pi: int,
@@ -217,9 +209,10 @@ def full_report(
     if phi is None:
         phi = task_count / binomial(n, d)
 
-    pi = pi_of(p)
-    delta = delta_of(p, N)
-    arf = arf_of(p, n)
+    sizes = _footprint_sizes(p)  # one footprint per group serves pi and arf
+    pi = max(sizes, default=0)
+    delta = delta_of(p)
+    arf = sum(sizes) / n
 
     if task_count > 0 and phi > 0:
         pi_lb = pi_lower_bound(n, d, N, min(phi, 1.0))
@@ -245,7 +238,7 @@ def full_report(
         )
     )
     if params is not None:
-        checks.extend(promised_bounds(p, params, phi, pi, delta, arf))
+        checks.extend(promised_bounds(params, phi, pi, delta, arf))
 
     return CostReport(
         n=n,

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from .combinatorics import DTuple, binomial, enumerate_lex
 from .counting import pi_lower_bound_int
+from .design import footprint
 from .errors import InstanceTooLarge
 from .tasks import TaskSet
 
@@ -17,7 +18,6 @@ def brute_force_pi_star(
     tasks: TaskSet,
     N: int,
     edge_cap: int = DEFAULT_EDGE_CAP,
-    worker_cap: int = DEFAULT_WORKER_CAP,
 ) -> tuple[int, list[list[DTuple]]]:
     """Exact minimum over all N-way partitions of X of the maximum group
     footprint, with a witness partition achieving it.
@@ -31,8 +31,8 @@ def brute_force_pi_star(
         raise InstanceTooLarge(
             f"|X| = {len(tasks.edges)} exceeds edge cap {edge_cap}"
         )
-    if N > worker_cap:
-        raise InstanceTooLarge(f"N = {N} exceeds worker cap {worker_cap}")
+    if N > DEFAULT_WORKER_CAP:
+        raise InstanceTooLarge(f"N = {N} exceeds worker cap {DEFAULT_WORKER_CAP}")
     edges = tasks.edges
     if not edges:
         return 0, [[] for _ in range(N)]
@@ -41,7 +41,7 @@ def brute_force_pi_star(
     phi = len(edges) / binomial(tasks.n, tasks.d)
     floor = pi_lower_bound_int(tasks.n, tasks.d, N, phi)
 
-    best = len({x for t in edges for x in t}) + 1  # beaten by any partition
+    best = len(footprint(edges)) + 1  # beaten by any partition
     best_assign: list[int] = []
     assign = [0] * len(edges)
     group_masks = [0] * N

@@ -10,6 +10,7 @@ from .combinatorics import binomial, validate_dtuple
 from .design import (
     DEFAULT_MATERIALIZE_CAP,
     FinalPartition,
+    _within_placement,
     build_base_partition,
     derive_parameters,
 )
@@ -54,11 +55,7 @@ def run_invariant_checks(p: FinalPartition) -> list[Check]:
         f"{total} <= C({p.n},{p.d})",
     )
 
-    feasible = all(
-        set().union(*map(set, g)) <= set(held) if g else True
-        for g, held in zip(p.groups, p.placement)
-    )
-    add("assignments_feasible", feasible, "every group within its placement")
+    add("assignments_feasible", _within_placement(p), "every group within its placement")
 
     if p.params is None:
         return checks

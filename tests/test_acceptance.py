@@ -108,7 +108,7 @@ def test_criterion_6_constant_factor_guarantees():
         assert d <= n / 32 and N <= (0.9 * math.sqrt(n / d)) ** d + TOL
         params = derive_parameters(n, d, N)
         base = build_base_partition(params)
-        delta = delta_of(base, N)
+        delta = delta_of(base)
         pi = pi_of(base)
         if delta > 4.0 + TOL or pi > 4 * math.e * n / N ** (1.0 / d) + TOL:
             bad.append((n, d, N, delta, pi))

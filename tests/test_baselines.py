@@ -12,7 +12,13 @@ from ic_alloc.baselines import (
     thin,
 )
 from ic_alloc.combinatorics import binomial
-from ic_alloc.design import as_final, build_base_partition, derive_parameters, refine
+from ic_alloc.design import (
+    as_final,
+    build_base_partition,
+    derive_parameters,
+    partition_from_groups,
+    refine,
+)
 from ic_alloc.errors import InvalidPhi
 from ic_alloc.metrics import pi_of
 from ic_alloc.tasks import TaskSet
@@ -128,3 +134,13 @@ def test_ic_beats_baselines_on_thinned_tasks(N):
         ic_pi = pi_of(refine(base, tasks))
         assert ic_pi <= pi_of(lex_partition(tasks, N))
         assert ic_pi <= pi_of(random_partition(tasks, N, seed))
+
+
+@pytest.mark.parametrize("N", [1, 4, 7])
+def test_baselines_equal_validated_partition_of_their_groups(N):
+    # the baselines trust their TaskSet's canonical edges; the result must
+    # equal what the validating constructor makes of the same groups
+    tasks = thin(30, 3, ThinningSpec(phi=0.3, seed=11))
+    for fp in (lex_partition(tasks, N), random_partition(tasks, N, seed=3)):
+        assert fp == partition_from_groups(tasks.n, tasks.d, fp.groups, fp.metadata)
+        assert sum(len(g) for g in fp.groups) == len(tasks)

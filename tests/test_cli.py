@@ -70,6 +70,23 @@ def test_verify_rejects_tampered_partition(tmp_path, capsys):
     assert json.loads(out)["ok"] is False
 
 
+def test_verify_rejects_group_outside_its_placement(tmp_path, capsys):
+    part = tmp_path / "p.json"
+    code, _, _ = run(
+        capsys, "partition", "--n", "6", "--d", "2", "--workers", "3",
+        "--out", str(part),
+    )
+    assert code == 0
+    doc = json.loads(part.read_text())
+    doc["footprints"][1].pop(0)  # group 2 still touches the dropped file
+    part.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--partition", str(part))
+    assert code == 1
+    checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
+    assert checks["assignments_feasible"] is False
+    assert "FAIL assignments_feasible" in err
+
+
 def test_thin_round_trip(tmp_path, capsys):
     out_file = tmp_path / "x.txt"
     code, out, err = run(

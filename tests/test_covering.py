@@ -5,7 +5,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ic_alloc.covering import count_below
+from ic_alloc.covering import count_below, suffix_tables
 
 
 def brute_covering(blocks, u):
@@ -36,8 +36,9 @@ def block_layouts(draw):
 @given(block_layouts(), st.integers(1, 6))
 def test_count_and_order_match_bruteforce(blocks, u):
     expected = brute_covering(blocks, u)
+    suffix = suffix_tables(blocks, u - 1)
     for i, t in enumerate(expected, start=1):
-        assert count_below(t, blocks, u) == i - 1
+        assert count_below(t, blocks, u, suffix) == i - 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -49,4 +50,4 @@ def test_count_below_for_foreign_tuples(blocks, u, data):
         st.sets(st.integers(1, top), min_size=u, max_size=u)
     )))
     expected = sum(1 for c in brute_covering(blocks, u) if c < t)
-    assert count_below(t, blocks, u) == expected
+    assert count_below(t, blocks, u, suffix_tables(blocks, u - 1)) == expected

@@ -3,7 +3,9 @@ import math
 import pytest
 
 from ic_alloc.baselines import ThinningSpec
+from ic_alloc.formats import emit_sweep_csv
 from ic_alloc.harness import (
+    MonteCarloSummary,
     SweepRecord,
     grid_points,
     monte_carlo_delta,
@@ -34,6 +36,19 @@ def test_monte_carlo_deterministic():
     assert a == b
     c = monte_carlo_delta(30, 2, 5, phi=0.5, trials=20, master_seed=10)
     assert c != a
+
+
+def test_monte_carlo_golden():
+    # exact values, so no change to how a trial counts its loads can move a bit
+    assert monte_carlo_delta(30, 2, 5, 0.5, 20, 9) == MonteCarloSummary(
+        n=30, d=2, N=5, phi=0.5, trials=20, master_seed=9,
+        fraction_delta_le_5=1.0,
+        min_delta=1.5121951219512195,
+        mean_delta=1.6551045100788897,
+        max_delta=1.7826086956521738,
+        phi_min=7.7121565854506375,
+        vacuous=True,
+    )
 
 
 def test_monte_carlo_reports_vacuous_threshold():
@@ -105,6 +120,15 @@ def test_sweep_thinned_point_is_deterministic():
     assert a == b
     assert isinstance(a[0], SweepRecord)
     assert a[0].delta_x > 0
+
+
+def test_sweep_thinned_point_golden_csv():
+    # a phi < 1 row, so delta_X comes from the refined partition
+    assert emit_sweep_csv(sweep([(30, 2, 5, 0.5, 3)])) == (
+        "n,d,N,phi,seed,case,k,s,g,pi,pi_lb,gap,delta,delta_X,arf,bounds_ok\n"
+        "30,2,5,0.5,3,divisible,3,10,0,20,9.486832980505138,1.49071198499986,"
+        "1.6551724137931034,1.6,3.0,true\n"
+    )
 
 
 def test_simulate_rounds_blindness_verdict():

@@ -1,8 +1,11 @@
-"""The benchmark under perfbench/ imports names from ic_alloc.  Importing
-its modules here makes a removed or renamed name fail the test suite, not
-only a benchmark run.  Nothing is run."""
+"""The benchmark under perfbench/ calls into ic_alloc.  Importing its
+modules here makes a removed or renamed name fail the test suite, and a
+one-second run of each workload catches a changed call signature or a
+broken output check, not only a benchmark run."""
 
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,3 +26,17 @@ def test_benchmark_module_imports(module, monkeypatch):
             path = getattr(sys.modules[name], "__file__", None) or ""
             if Path(path).parent == PERFBENCH:
                 del sys.modules[name]
+
+
+@pytest.mark.parametrize("workload", ["blind-rounds", "stream-route", "cli-pipeline"])
+def test_benchmark_smoke_run(workload):
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    assert result["attempted"] > 0

@@ -5,12 +5,27 @@ lexicographic rank L under seed S hashes S + L * GOLDEN through the
 splitmix64 finalizer.  Decisions therefore depend only on (seed, rank),
 never on visit order, so streaming and parallel generation agree
 bit-for-bit on every platform.
+
+tuple_draw is the per-rank definition.  thin evaluates the same function
+on _LANES consecutive ranks at once, inside one Python int that holds
+one 128-bit lane per rank ("SIMD within a register"), so each step of the
+finalizer is a single whole-int ^, >>, * or & run in C.  Every lane holds
+a value below 2**64 between steps, so no lane spills into its neighbour:
+- a 64-bit value times a 64-bit constant is below 2**128, so a product
+  never carries out of its lane; the mask after it keeps the low 64 bits;
+- a right shift moves the low bits of lane i+1 into the top of lane i,
+  and the mask applied to the shifted int clears them before the xor;
+- the test draw < threshold subtracts each draw from 2**64 + threshold - 1
+  in its own lane.  That difference lies in [0, 2**65), so it never
+  borrows from the next lane, and its bit 64 is set exactly when the draw
+  is below the threshold (never for threshold 0, always for 2**64).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, compress
 
 from .combinatorics import _rank, binomial, enumerate_lex
 from .counting import block_bounds
@@ -22,19 +37,49 @@ GENERATOR_ID = "splitmix64-v1"
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 
 
 def mix64(x: int) -> int:
     """splitmix64 finalizer: a bijective 64-bit mix."""
     x &= _MASK
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    x = ((x ^ (x >> 30)) * _MUL1) & _MASK
+    x = ((x ^ (x >> 27)) * _MUL2) & _MASK
     return x ^ (x >> 31)
 
 
 def tuple_draw(seed: int, rank: int) -> int:
     """64-bit draw for the tuple at the given 1-based lexicographic rank."""
     return mix64((seed + rank * _GOLDEN) & _MASK)
+
+
+_LANES = 1024  # ranks per packed int
+_LANE_BYTES = 16  # 128-bit lanes: room for a 64-bit value times a 64-bit constant
+
+
+def _pack(values) -> int:
+    """One int holding each value in its own lane, the first value lowest."""
+    return int.from_bytes(b"".join(v.to_bytes(_LANE_BYTES, "little") for v in values), "little")
+
+
+_ONES = _pack([1] * _LANES)
+_LANE_MASK = _ONES * _MASK
+_STRIDE = _pack([(i * _GOLDEN) & _MASK for i in range(_LANES)])
+
+
+def _keep_flags(seed: int, threshold: int, count: int):
+    """Yield, _LANES ranks at a time, one byte per rank from 1 to at least
+    count: 1 when tuple_draw(seed, rank) < threshold, else 0."""
+    below = _ONES * ((1 << 64) + threshold - 1)
+    for first in range(1, count + 1, _LANES):
+        x = (_STRIDE + _ONES * ((seed + first * _GOLDEN) & _MASK)) & _LANE_MASK
+        x ^= (x >> 30) & _LANE_MASK
+        x = (x * _MUL1) & _LANE_MASK
+        x ^= (x >> 27) & _LANE_MASK
+        x = (x * _MUL2) & _LANE_MASK
+        x ^= (x >> 31) & _LANE_MASK
+        yield (below - x).to_bytes(_LANES * _LANE_BYTES, "little")[8::_LANE_BYTES]
 
 
 @dataclass(frozen=True)
@@ -59,14 +104,12 @@ class ThinningSpec:
 def thin(n: int, d: int, spec: ThinningSpec) -> TaskSet:
     """Keep each tuple of the complete d-uniform set independently with
     probability phi.  phi=1 keeps everything, phi=0 nothing."""
+    tuples = enumerate_lex(n, d)
     threshold = min(1 << 64, int(spec.phi * (1 << 64)))
-    kept = [
-        t
-        for rank, t in enumerate(enumerate_lex(n, d), start=1)
-        if tuple_draw(spec.seed, rank) < threshold
-    ]
+    flags = chain.from_iterable(_keep_flags(spec.seed, threshold, binomial(n, d)))
     return TaskSet(
-        n, d, tuple(kept), phi=spec.phi, seed=spec.seed, generator_id=spec.generator_id
+        n, d, tuple(compress(tuples, flags)),
+        phi=spec.phi, seed=spec.seed, generator_id=spec.generator_id,
     )
 
 

@@ -153,10 +153,7 @@ def derive_parameters(n: int, d: int, N: int) -> ICParameters:
     size s0 would overshoot floor(n / k) (equivalently, N exceeds the
     largest guaranteed-supported worker count for this n and d).
     """
-    if d < 1 or d > n:
-        raise InvalidDimensions(f"need 1 <= d <= n, got n={n}, d={d}")
-    if N < 1:
-        raise UnsupportedParameters(f"need N >= 1, got {N}")
+    params = _derive(n, d, N)
     if d < 2 or d > n / 32:
         warnings.warn(
             f"(n={n}, d={d}) is outside the recommended regime 2 <= d <= n/32; "
@@ -164,6 +161,16 @@ def derive_parameters(n: int, d: int, N: int) -> ICParameters:
             ParameterRegimeWarning,
             stacklevel=2,
         )
+    return params
+
+
+def _derive(n: int, d: int, N: int) -> ICParameters:
+    # derive_parameters without the regime warning, for internal callers
+    # whose caller has already been warned
+    if d < 1 or d > n:
+        raise InvalidDimensions(f"need 1 <= d <= n, got n={n}, d={d}")
+    if N < 1:
+        raise UnsupportedParameters(f"need N >= 1, got {N}")
     k = d
     while k + 1 <= n and binomial(k + 1, d) <= N:
         k += 1
@@ -233,7 +240,7 @@ def _prime_partition(n: int, d: int, k: int) -> tuple[tuple[DTuple, ...], ...]:
 
     Cached on (n, d, k) because every N with the same k shares it.
     """
-    params = derive_parameters(n, d, binomial(k, d))
+    params = _derive(n, d, binomial(k, d))
     if params.k != k:  # only reachable through inconsistent internal calls
         raise UnsupportedParameters(f"no N maps to k={k} for n={n}, d={d}")
     size = params.family_size
@@ -499,9 +506,7 @@ def refine(base: BasePartition, tasks: TaskSet) -> FinalPartition:
             f"tasks are ({tasks.n},{tasks.d}) but partition is ({base.n},{base.d})"
         )
     wanted = frozenset(tasks.edges)
-    groups = tuple(
-        tuple(t for t in g if t in wanted) for g in base.groups
-    )
+    groups = tuple(tuple(filter(wanted.__contains__, g)) for g in base.groups)
     return FinalPartition(
         n=base.n,
         d=base.d,

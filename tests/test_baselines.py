@@ -1,3 +1,4 @@
+import hashlib
 import statistics
 
 import pytest
@@ -10,8 +11,9 @@ from ic_alloc.baselines import (
     mix64,
     random_partition,
     thin,
+    tuple_draw,
 )
-from ic_alloc.combinatorics import binomial
+from ic_alloc.combinatorics import binomial, enumerate_lex
 from ic_alloc.design import (
     as_final,
     build_base_partition,
@@ -76,6 +78,58 @@ def test_thin_size_within_four_sigma():
     assert mean == 9950.0
     size = len(thin(200, 2, ThinningSpec(phi=0.5, seed=42)))
     assert abs(size - mean) <= 4 * sd
+
+
+@pytest.mark.parametrize(
+    "n, d", [(1, 1), (1023, 1), (1024, 1), (2048, 1), (2049, 1), (46, 2)]
+)
+def test_thin_matches_per_rank_draws(n, d):
+    # the packed evaluation against tuple_draw, rank by rank, with C(n, d)
+    # below, at, a multiple of and just past the lane count
+    for seed in (0, -1, 2**64 - 1, 2**64 + 5, 2**63):
+        for phi in (0.0, 2**-64, 0.1, 0.5, 1.0):
+            threshold = min(1 << 64, int(phi * (1 << 64)))
+            expected = [
+                t for r, t in enumerate(enumerate_lex(n, d), 1)
+                if tuple_draw(seed, r) < threshold
+            ]
+            assert list(thin(n, d, ThinningSpec(phi, seed)).edges) == expected, (seed, phi)
+
+
+def _seed_drawing(value, rank):
+    # the seed whose draw at this rank is value: invert the splitmix64 finalizer
+    mask = (1 << 64) - 1
+
+    def unshift(x, s):
+        y = x
+        for _ in range(64 // s):
+            y = x ^ (y >> s)
+        return y
+
+    x = unshift(value, 31)
+    x = unshift(x * pow(0x94D049BB133111EB, -1, 1 << 64) & mask, 27)
+    x = unshift(x * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask, 30)
+    return (x - rank * 0x9E3779B97F4A7C15) & mask
+
+
+@pytest.mark.parametrize(
+    "phi, draw, kept",
+    [(0.5, 2**63, False), (0.5, 2**63 - 1, True), (2**-64, 1, False), (2**-64, 0, True)],
+)
+def test_thin_keeps_draws_strictly_below_the_threshold(phi, draw, kept):
+    rank = 700  # inside a lane, neither the first nor the last
+    seed = _seed_drawing(draw, rank)
+    assert tuple_draw(seed, rank) == draw
+    assert ((rank,) in thin(1024, 1, ThinningSpec(phi, seed)).edges) is kept
+
+
+def test_thin_golden_digest():
+    edges = thin(121, 3, ThinningSpec(phi=0.5, seed=7)).edges
+    text = "\n".join(" ".join(map(str, t)) for t in edges)
+    assert len(edges) == 143951
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "507d1b11230af9acff3f2edb441710afc2320a2f23300bae967f847143af5fe0"
+    )
 
 
 def test_thin_mean_concentrates_over_seeds():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,21 @@ def test_verify_rejects_group_outside_its_placement(tmp_path, capsys):
     checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
     assert checks["assignments_feasible"] is False
     assert "FAIL assignments_feasible" in err
+
+
+@pytest.mark.parametrize("n, warnings_expected", [(40, 1), (64, 0)])
+def test_partition_warns_about_the_regime_once(n, warnings_expected, tmp_path):
+    # in a child process, where the default warning filter prints to stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", "from ic_alloc.cli import main; raise SystemExit(main())",
+         "partition", "--n", str(n), "--d", "2", "--workers", "6",
+         "--out", str(tmp_path / "p.json")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("ParameterRegimeWarning") == warnings_expected, proc.stderr
 
 
 def test_thin_round_trip(tmp_path, capsys):

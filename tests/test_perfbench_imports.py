@@ -28,7 +28,17 @@ def test_benchmark_module_imports(module, monkeypatch):
                 del sys.modules[name]
 
 
-@pytest.mark.parametrize("workload", ["blind-rounds", "stream-route", "cli-pipeline"])
+# Digests of each workload's semantic output at --seed 1; they do not depend
+# on --seconds.  A change that moves an output fails here, not only in the
+# benchmark.
+DIGESTS = {
+    "blind-rounds": "26560cb605506c9093d696050b8fa6e0a875dd5d8fca1208c22d2ac9a5d1dc7b",
+    "stream-route": "f1132238ddfc64d27890afd739d9d6be2eb96bc0ed3e5b9abb54a4e04aaef72b",
+    "cli-pipeline": "528950b20721dca7cba6cdee757b169dbff336bc47a35c31efbdf6d10c902498",
+}
+
+
+@pytest.mark.parametrize("workload", list(DIGESTS))
 def test_benchmark_smoke_run(workload):
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
@@ -36,7 +46,9 @@ def test_benchmark_smoke_run(workload):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    *_, context, last = proc.stdout.strip().splitlines()
+    assert json.loads(context)["digest"] == DIGESTS[workload]
+    result = json.loads(last)
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from ic_alloc.baselines import ThinningSpec, thin
 from ic_alloc.cli import main
-from ic_alloc.formats import parse_partition, parse_tasks
+from ic_alloc.design import as_final, build_base_partition, derive_parameters
+from ic_alloc.formats import emit_partition, emit_tasks, parse_partition, parse_tasks
 from ic_alloc.tasks import TaskSet
 
 EXAMPLE1_TEXT = "7 2 6\n1 2\n1 3\n2 3\n4 5\n3 6\n2 7\n"
@@ -190,3 +193,22 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["partition", "--n", "6"])
     assert exc.value.code == 2
+
+
+def test_eval_tasks_and_verify_stdout_golden(tmp_path, capsys):
+    # sha256 of the stdout, taken before any change to FinalPartition,
+    # full_report or verify; both must stay byte-identical
+    part, tasks = tmp_path / "p.json", tmp_path / "x.txt"
+    part.write_text(emit_partition(as_final(build_base_partition(derive_parameters(13, 2, 8)))))
+    tasks.write_text(emit_tasks(thin(13, 2, ThinningSpec(0.5, 11))))
+
+    code, out, _ = run(capsys, "eval", "--partition", str(part), "--tasks", str(tasks))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3d3a119c3f189a5918c6ef37bc5a2f6d175430e1d93086b55ab2ef0f554557c3"
+    )
+    code, out, _ = run(capsys, "verify", "--partition", str(part))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9455e94c2f43a7a057b207b7809dda2594eee940ff68cb16c115866c0dbcd521"
+    )

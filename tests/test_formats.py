@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ic_alloc.baselines import ThinningSpec, lex_partition, thin
@@ -144,3 +146,41 @@ def test_csv_rows_include_skips():
     assert good[0] == "6" and good[9] == "4" and good[-1] == "true"
     skip = lines[2].split(",")
     assert skip[5] == "unsupported" and skip[9] == "" and skip[-1] == ""
+
+
+# --- byte-identity goldens ----------------------------------------------------
+# sha256 of emit_partition's text, taken before any change to the writer or to
+# FinalPartition; a rewrite must reproduce these bytes exactly.
+
+PARTITION_GOLDENS = {
+    "divisible": (
+        lambda: as_final(build_base_partition(derive_parameters(12, 2, 9))),
+        "8a2f3db1ab11a3bb76bc0670064e916ae21ea7f0a612c3171512df88b87b1b60",
+    ),
+    "nondivisible": (
+        lambda: as_final(build_base_partition(derive_parameters(13, 2, 8))),
+        "4fb914796dffc758e289d5a1f0818d156ddf50e18d22defd5ca188fba0c2504d",
+    ),
+    "refined": (
+        lambda: refine(
+            build_base_partition(derive_parameters(13, 2, 8)),
+            thin(13, 2, ThinningSpec(0.5, 11)),
+        ),
+        "a295c6dcd61b7d3e7c256ec95d5e5f72773874103b59c4f8b8576702b788706e",
+    ),
+    "baseline": (
+        lambda: lex_partition(thin(10, 2, ThinningSpec(0.6, 3)), 3),
+        "e45c191dd31271f28d812a37c4fc01eb2e8a7faa11ec4423652b56a2c0609025",
+    ),
+    "empty_groups": (
+        lambda: lex_partition(TaskSet.from_edges(6, 2, [(1, 2), (3, 4)]), 4),
+        "5e3f70d8556ad20e84197d3aebd2a9d334e9f1e17be07fab32486b7f0d5a8c29",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PARTITION_GOLDENS))
+def test_emit_partition_golden_sha256(name):
+    build, digest = PARTITION_GOLDENS[name]
+    text = emit_partition(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -12,7 +12,6 @@ from .counting import (
     block_bounds,
     card_C_beta,
     card_R_beta_I,
-    counting_tables,
     m_beta,
     phi_min,
     pi_lower_bound,
@@ -55,7 +54,6 @@ __all__ = [
     "build_families",
     "card_C_beta",
     "card_R_beta_I",
-    "counting_tables",
     "delta_of",
     "derive_parameters",
     "enumerate_lex",

@@ -30,7 +30,7 @@ from itertools import chain, compress
 from .combinatorics import _rank, binomial, enumerate_lex
 from .counting import block_bounds
 from .design import FinalPartition, _own_placement
-from .errors import InvalidPhi
+from .errors import InvalidArgument, InvalidPhi
 from .tasks import TaskSet
 
 GENERATOR_ID = "splitmix64-v1"
@@ -84,21 +84,15 @@ def _keep_flags(seed: int, threshold: int, count: int):
 
 @dataclass(frozen=True)
 class ThinningSpec:
-    """Sampling probability, seed, and the generator that interprets them.
-
-    Identical (phi, seed, generator_id, n, d) reproduce the identical task
-    set bit-for-bit.
-    """
+    """Sampling probability and seed.  Identical (phi, seed, n, d) reproduce
+    the identical task set bit-for-bit under GENERATOR_ID."""
 
     phi: float
     seed: int
-    generator_id: str = GENERATOR_ID
 
     def __post_init__(self):
         if not 0.0 <= self.phi <= 1.0:
             raise InvalidPhi(f"phi must lie in [0, 1], got {self.phi}")
-        if self.generator_id != GENERATOR_ID:
-            raise ValueError(f"unknown generator_id {self.generator_id!r}")
 
 
 def thin(n: int, d: int, spec: ThinningSpec) -> TaskSet:
@@ -109,7 +103,7 @@ def thin(n: int, d: int, spec: ThinningSpec) -> TaskSet:
     flags = chain.from_iterable(_keep_flags(spec.seed, threshold, binomial(n, d)))
     return TaskSet(
         n, d, tuple(compress(tuples, flags)),
-        phi=spec.phi, seed=spec.seed, generator_id=spec.generator_id,
+        phi=spec.phi, seed=spec.seed, generator_id=GENERATOR_ID,
     )
 
 
@@ -117,7 +111,7 @@ def lex_partition(tasks: TaskSet, N: int) -> FinalPartition:
     """Contiguous lexicographic split of X into N blocks, larger blocks
     first.  The obvious baseline the construction is measured against."""
     if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
+        raise InvalidArgument(f"need N >= 1, got {N}")
     edges = tasks.edges  # already lexicographically sorted
     groups = []
     for j in range(1, N + 1):
@@ -130,7 +124,7 @@ def random_partition(tasks: TaskSet, N: int, seed: int) -> FinalPartition:
     """Place every edge uniformly at random among the N groups,
     deterministically from (seed, edge rank)."""
     if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
+        raise InvalidArgument(f"need N >= 1, got {N}")
     groups: list[list] = [[] for _ in range(N)]
     for t in tasks.edges:  # canonical by the TaskSet contract; not validated again
         groups[(tuple_draw(seed, _rank(t, tasks.n)) * N) >> 64].append(t)

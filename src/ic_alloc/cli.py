@@ -20,7 +20,7 @@ from .design import (
     derive_parameters,
     refine,
 )
-from .errors import ICAllocError
+from .errors import ICAllocError, SchemaError
 from .formats import (
     emit_partition,
     emit_sweep_csv,
@@ -79,11 +79,7 @@ def cmd_eval(args) -> int:
         tasks = _read_tasks(args.tasks)
         if fp.params is None:
             raise ICAllocError("--tasks requires a construction partition")
-        base = BasePartition(
-            params=fp.params,
-            groups=fp.groups,
-            footprints=tuple(tuple(f) for f in fp.placement),
-        )
+        base = BasePartition(params=fp.params, groups=fp.groups, footprints=fp.placement)
         fp = refine(base, tasks)
     report = full_report(fp, fp.params)
     print(json.dumps(report.as_dict(), indent=2))
@@ -124,7 +120,10 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    axes = json.loads(Path(args.grid).read_text())
+    try:
+        axes = json.loads(Path(args.grid).read_text())
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"grid is not valid JSON: {exc}") from exc
     records = sweep(grid_points(axes))
     skipped = sum(1 for r in records if r.error is not None)
     _diag(f"swept {len(records)} points ({skipped} unsupported)")

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterator
 
-from .errors import InvalidDimensions, RankOutOfRange
+from .errors import InvalidArgument, InvalidDimensions, RankOutOfRange
 
 DTuple = tuple[int, ...]
 
@@ -20,7 +20,7 @@ DTuple = tuple[int, ...]
 def binomial(n: int, k: int) -> int:
     """C(n, k), exact; 0 when k > n."""
     if n < 0 or k < 0:
-        raise ValueError("binomial arguments must be non-negative")
+        raise InvalidArgument("binomial arguments must be non-negative")
     if k > n:
         return 0
     return comb(n, k)

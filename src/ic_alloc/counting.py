@@ -148,55 +148,3 @@ def pi_lower_bound_int(n: int, d: int, N: int, phi: float) -> int:
     bound (with a 1e-9 guard against float noise) and never below d."""
     real = pi_lower_bound(n, d, N, phi)
     return max(d, math.ceil(real - 1e-9))
-
-
-@dataclass(frozen=True)
-class CountingRow:
-    beta: int
-    t_beta: int
-    card_c_beta: int
-    m_beta: int
-    q_beta: int
-    r_beta: int
-
-
-@dataclass(frozen=True)
-class CountingTables:
-    """Per-beta block-allocation constants for one (size, f, d, g) shape.
-
-    interior covers tuples drawn from the families alone; excluded covers
-    tuples touching the tail (empty when g == 0).  For excluded rows
-    t_beta holds the per-support-set cardinality of the excluded class.
-    """
-
-    size: int
-    f: int
-    d: int
-    g: int
-    interior: tuple[CountingRow, ...]
-    excluded: tuple[CountingRow, ...]
-
-
-def counting_tables(size: int, f: int, d: int, g: int = 0) -> CountingTables:
-    interior = []
-    for beta in beta_range_interior(size, d):
-        if beta > f:
-            break
-        t = t_beta(size, f, d, beta)
-        m = m_beta(f, d, beta)
-        q, r = divmod(t, m)
-        interior.append(
-            CountingRow(beta, t, binomial(f, beta) * t, m, q, r)
-        )
-    excluded = []
-    if g > 0:
-        for beta in beta_range_excluded(size, g, d):
-            if beta > f:
-                break
-            t = card_R_beta_I(size, f, g, d, beta)
-            m = m_beta(f, d, beta)
-            q, r = divmod(t, m)
-            excluded.append(
-                CountingRow(beta, t, binomial(f, beta) * t, m, q, r)
-            )
-    return CountingTables(size, f, d, g, tuple(interior), tuple(excluded))

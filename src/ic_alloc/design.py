@@ -136,14 +136,14 @@ class FinalPartition:
 
     n: int
     d: int
-    N: int
     groups: tuple[tuple[DTuple, ...], ...]
     placement: tuple[tuple[int, ...], ...]
     params: ICParameters | None = None
     metadata: dict | None = None
 
-    def task_count(self) -> int:
-        return sum(len(g) for g in self.groups)
+    @property
+    def N(self) -> int:
+        return len(self.groups)
 
 
 def derive_parameters(n: int, d: int, N: int) -> ICParameters:
@@ -295,19 +295,17 @@ def _extend(
     return tuple(out)
 
 
-def build_base_partition(
-    params: ICParameters, max_tuples: int = DEFAULT_MATERIALIZE_CAP
-) -> BasePartition:
+def build_base_partition(params: ICParameters) -> BasePartition:
     """Materialize the N groups and their footprints.
 
-    Limited to C(n, d) <= max_tuples; beyond that use assign_base_group /
-    assign_tasks, which never materialize a group.
+    Limited to C(n, d) <= DEFAULT_MATERIALIZE_CAP; beyond that use
+    assign_base_group / assign_tasks, which never materialize a group.
     """
     total = binomial(params.n, params.d)
-    if total > max_tuples:
+    if total > DEFAULT_MATERIALIZE_CAP:
         raise InstanceTooLarge(
             f"C({params.n},{params.d}) = {total} exceeds the materialization "
-            f"cap {max_tuples}; use the streaming interface"
+            f"cap {DEFAULT_MATERIALIZE_CAP}; use the streaming interface"
         )
     groups = _extend(_prime_partition(params.n, params.d, params.k), params)
     return BasePartition(
@@ -510,7 +508,6 @@ def refine(base: BasePartition, tasks: TaskSet) -> FinalPartition:
     return FinalPartition(
         n=base.n,
         d=base.d,
-        N=base.N,
         groups=groups,
         placement=base.footprints,
         params=base.params,
@@ -550,7 +547,6 @@ def assign_tasks(params: ICParameters, tasks: TaskSet) -> FinalPartition:
     return FinalPartition(
         n=params.n,
         d=params.d,
-        N=params.N,
         groups=tuple(tuple(g) for g in groups),
         placement=eligible_placement(params),
         params=params,
@@ -572,7 +568,7 @@ def _own_placement(n: int, d: int, groups, metadata: dict | None) -> FinalPartit
     """Groups of canonical tuples, taken as given, with their own footprints
     as placement."""
     return FinalPartition(
-        n=n, d=d, N=len(groups), groups=groups,
+        n=n, d=d, groups=groups,
         placement=tuple(footprint(g) for g in groups), params=None, metadata=metadata,
     )
 
@@ -583,7 +579,6 @@ def as_final(base: BasePartition) -> FinalPartition:
     return FinalPartition(
         n=base.n,
         d=base.d,
-        N=base.N,
         groups=base.groups,
         placement=base.footprints,
         params=base.params,

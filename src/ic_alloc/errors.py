@@ -9,6 +9,10 @@ class ParameterRegimeWarning(UserWarning):
     """Parameters outside the regime where the cost guarantees are promised."""
 
 
+class InvalidArgument(ICAllocError, ValueError):
+    """An argument outside its domain, e.g. a count below 1."""
+
+
 class InvalidDimensions(ICAllocError):
     """A (n, d) combination outside the valid domain, e.g. d = 0 or d > n."""
 

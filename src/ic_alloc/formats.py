@@ -13,6 +13,7 @@ fixed header.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .design import FinalPartition, ICParameters
 from .errors import DuplicateEdge, IndexOutOfBounds, ParseError, SchemaError
@@ -146,11 +147,19 @@ def parse_partition(text: str) -> FinalPartition:
         except TypeError as exc:
             raise SchemaError(f"bad params object: {exc}") from exc
     try:
-        groups = tuple(tuple(tuple(int(x) for x in t) for t in g) for g in doc["groups"])
-        placement = tuple(tuple(int(x) for x in f) for f in doc["footprints"])
-        n, d, N = int(doc["n"]), int(doc["d"]), int(doc["N"])
-    except (TypeError, ValueError) as exc:
+        groups = tuple(tuple(map(tuple, g)) for g in doc["groups"])
+        placement = tuple(map(tuple, doc["footprints"]))
+    except TypeError as exc:
         raise SchemaError(f"bad value: {exc}") from exc
+    # every file index and n, d, N must be an int, checked in one C-level
+    # scan, so a float, string or bool is refused rather than converted
+    stored = chain(chain.from_iterable(chain.from_iterable(groups)), chain.from_iterable(placement))
+    bad = set(map(type, stored)) | {type(doc[k]) for k in ("n", "d", "N")}
+    bad.discard(int)
+    if bad:
+        names = sorted(t.__name__ for t in bad)
+        raise SchemaError(f"file indices and n, d, N must be integers, found {names}")
+    n, d, N = doc["n"], doc["d"], doc["N"]
     if len(groups) != N or len(placement) != N:
         raise SchemaError(
             f"N={N} but {len(groups)} groups / {len(placement)} footprints"
@@ -161,7 +170,7 @@ def parse_partition(text: str) -> FinalPartition:
             f"document ({n},{d},{N})"
         )
     return FinalPartition(
-        n=n, d=d, N=N, groups=groups, placement=placement,
+        n=n, d=d, groups=groups, placement=placement,
         params=params, metadata=doc["metadata"],
     )
 

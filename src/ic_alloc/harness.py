@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 from .baselines import _GOLDEN, ThinningSpec, mix64, thin
 from .counting import PhiMinResult, phi_min, pi_lower_bound
@@ -21,7 +22,7 @@ from .design import (
     derive_parameters,
     refine,
 )
-from .errors import DegenerateDenominator, ICAllocError
+from .errors import DegenerateDenominator, ICAllocError, InvalidArgument, SchemaError
 from .metrics import CostReport, delta_of, full_report
 
 
@@ -55,7 +56,7 @@ def monte_carlo_delta(
     """Thin the complete task set `trials` times against one fixed base
     partition and summarize the observed balance factors."""
     if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+        raise InvalidArgument(f"need trials >= 1, got {trials}")
     base = build_base_partition(derive_parameters(n, d, N))
 
     try:
@@ -112,15 +113,20 @@ class SweepRecord:
 
 
 def grid_points(axes: dict) -> list[tuple[int, int, int, float, int]]:
-    """Cartesian product of the grid axes n, d, N, phi, seed."""
-    out = []
-    for n in axes.get("n", []):
-        for d in axes.get("d", []):
-            for N in axes.get("N", []):
-                for phi in axes.get("phi", [1.0]):
-                    for seed in axes.get("seed", [0]):
-                        out.append((int(n), int(d), int(N), float(phi), int(seed)))
-    return out
+    """Cartesian product of the grid axes n, d, N, phi, seed.  n, d and N
+    are required; phi defaults to [1.0] and seed to [0]."""
+    if not isinstance(axes, dict) or not {"n", "d", "N"} <= axes.keys():
+        raise SchemaError("a sweep grid must be a JSON object with the axes n, d and N")
+    axes = {"phi": [1.0], "seed": [0], **axes}
+    names = ("n", "d", "N", "phi", "seed")
+    for name in names:
+        values = axes[name]
+        if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+            raise SchemaError(f"sweep axis {name!r} must be a list of numbers, got {values!r}")
+    return [
+        (int(n), int(d), int(N), float(phi), int(seed))
+        for n, d, N, phi, seed in product(*(axes[a] for a in names))
+    ]
 
 
 def sweep(points) -> list[SweepRecord]:
@@ -204,7 +210,7 @@ def simulate_rounds(
     byte-identical across rounds and that every round's group only touches
     files its worker holds."""
     if not round_specs:
-        raise ValueError("need at least one round")
+        raise InvalidArgument("need at least one round")
     params = derive_parameters(n, d, N)
     base = build_base_partition(params)
     placement_pi = max((len(f) for f in base.footprints), default=0)

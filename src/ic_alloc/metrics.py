@@ -155,12 +155,10 @@ def promised_bounds(
 
     try:
         pm = phi_min(n, d, N)
-        delta5_applicable = (
-            regime and n >= 32 * d and not pm.vacuous and phi >= pm.value
-        )
         checks.append(
             BoundCheck(
-                "delta_x_le_5", 5.0, delta5_applicable, delta <= 5.0 + TOL,
+                "delta_x_le_5", 5.0, regime and not pm.vacuous and phi >= pm.value,
+                delta <= 5.0 + TOL,
                 f"high-probability balance (phi_min={pm.value:.6g}"
                 f"{', vacuous' if pm.vacuous else ''}); holds w.p. >= 1 - 1/n",
             )
@@ -203,8 +201,7 @@ def full_report(
     """
     if params is None:
         params = getattr(p, "params", None)
-    n, d = p.n, p.d
-    N = params.N if params is not None else len(p.groups)
+    n, d, N = p.n, p.d, len(p.groups)
     task_count = sum(len(g) for g in p.groups)
     if phi is None:
         phi = task_count / binomial(n, d)

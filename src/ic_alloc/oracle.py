@@ -7,11 +7,12 @@ from __future__ import annotations
 from .combinatorics import DTuple, binomial, enumerate_lex
 from .counting import pi_lower_bound_int
 from .design import footprint
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, InvalidArgument
 from .tasks import TaskSet
 
 DEFAULT_EDGE_CAP = 16
 DEFAULT_WORKER_CAP = 4
+SUPPORT_COUNT_CAP = 10**6
 
 
 def brute_force_pi_star(
@@ -72,18 +73,16 @@ def brute_force_pi_star(
     return best, witness
 
 
-def support_class_counts(
-    n: int, d: int, s: int, g: int = 0, cap: int = 10**6
-) -> dict[tuple[bool, tuple[int, ...]], int]:
+def support_class_counts(n: int, d: int, s: int, g: int = 0) -> dict[tuple[bool, tuple[int, ...]], int]:
     """Enumerate the complete d-uniform set over [n] and count its tuples
     by (touches_tail, support): whether a tuple has an element in the
     excluded tail (the top g files), and the 1-based indices of the
     contiguous size-s families tiling [1, n - g] that it touches."""
     n_prime = n - g
     if n_prime % s != 0:
-        raise ValueError(f"s={s} must divide n-g={n_prime}")
-    if binomial(n, d) > cap:
-        raise InstanceTooLarge(f"C({n},{d}) exceeds cap {cap}")
+        raise InvalidArgument(f"s={s} must divide n-g={n_prime}")
+    if binomial(n, d) > SUPPORT_COUNT_CAP:
+        raise InstanceTooLarge(f"C({n},{d}) exceeds cap {SUPPORT_COUNT_CAP}")
     counts: dict[tuple[bool, tuple[int, ...]], int] = {}
     for t in enumerate_lex(n, d):
         support = tuple(sorted({(x - 1) // s + 1 for x in t if x <= n_prime}))

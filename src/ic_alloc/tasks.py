@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .combinatorics import DTuple, binomial, enumerate_lex, validate_dtuple
+from .combinatorics import DTuple, enumerate_lex, validate_dtuple
 from .errors import DuplicateEdge, InvalidDimensions
 
 
@@ -36,11 +36,6 @@ class TaskSet:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    @property
-    def density(self) -> float:
-        """|X| / C(n, d)."""
-        return len(self.edges) / binomial(self.n, self.d)
 
     @staticmethod
     def from_edges(

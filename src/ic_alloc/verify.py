@@ -68,21 +68,22 @@ def run_invariant_checks(p: FinalPartition) -> list[Check]:
         add("params_rederivable", False, str(exc))
         return checks
 
-    report = full_report(p, p.params)
+    # the rest is checked against the derived parameters, which a tampered
+    # params object cannot change
+    report = full_report(p, rederived)
     add("promised_bounds", report.bounds_ok, "all applicable cost bounds hold")
 
     # for a complete task set, the groups must reproduce the construction
     if total == binomial(p.n, p.d) and binomial(p.n, p.d) <= DEFAULT_MATERIALIZE_CAP:
-        base = build_base_partition(p.params)
+        base = build_base_partition(rederived)
         add(
             "matches_construction",
-            tuple(tuple(sorted(g)) for g in p.groups)
-            == tuple(tuple(sorted(g)) for g in base.groups),
+            tuple(tuple(sorted(g)) for g in p.groups) == base.groups,
             "group contents equal the canonical construction",
         )
         add(
             "footprints_match_construction",
-            tuple(tuple(f) for f in p.placement) == base.footprints,
+            p.placement == base.footprints,
             "placement equals the canonical footprints",
         )
     return checks

@@ -53,8 +53,6 @@ def test_thinning_spec_validation():
         ThinningSpec(phi=1.5, seed=0)
     with pytest.raises(InvalidPhi):
         ThinningSpec(phi=-0.1, seed=0)
-    with pytest.raises(ValueError):
-        ThinningSpec(phi=0.5, seed=0, generator_id="other")
 
 
 def test_thin_identity_and_empty():

@@ -212,3 +212,93 @@ def test_eval_tasks_and_verify_stdout_golden(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "9455e94c2f43a7a057b207b7809dda2594eee940ff68cb16c115866c0dbcd521"
     )
+
+
+def _partition_doc(n, d, N):
+    return json.loads(emit_partition(as_final(build_base_partition(derive_parameters(n, d, N)))))
+
+
+def _move(doc, src, dst, edge):
+    doc["groups"][src].remove(edge)
+    doc["groups"][dst].append(edge)
+
+
+def _swap(doc, a, b, ta, tb):
+    _move(doc, a, b, ta)
+    _move(doc, b, a, tb)
+
+
+# Each edit of the complete n=12, d=2, N=3 partition (families {1-4},
+# {5-8}, {9-12}) must fail the named check; other checks may fail too.
+TAMPERS = {
+    "edges_well_formed-descending": (
+        "edges_well_formed", lambda doc: doc["groups"][0].__setitem__(0, [2, 1])),
+    "edges_well_formed-zero": (
+        "edges_well_formed", lambda doc: doc["groups"][0].__setitem__(0, [0, 1])),
+    "edge_count_within_universe": (
+        "edge_count_within_universe", lambda doc: doc["groups"][0].append([1, 2])),
+    "params_rederivable": (
+        "params_rederivable", lambda doc: doc["params"].__setitem__("q", 2)),
+    # (5, 9) lifts the first group's footprint to 9 files, past s*d = 8
+    "promised_bounds": ("promised_bounds", lambda doc: _move(doc, 2, 0, [5, 9])),
+    # both edges lie inside family 1, which both placements hold
+    "matches_construction": (
+        "matches_construction", lambda doc: _swap(doc, 0, 1, [1, 2], [2, 3])),
+    "footprints_match_construction": (
+        "footprints_match_construction", lambda doc: doc["footprints"][0].append(9)),
+}
+
+
+@pytest.mark.parametrize("case", list(TAMPERS))
+def test_verify_check_fails_on_tampered_partition(case, tmp_path, capsys):
+    check, tamper = TAMPERS[case]
+    doc = _partition_doc(12, 2, 3)
+    tamper(doc)
+    part = tmp_path / "p.json"
+    part.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--partition", str(part))
+    assert code == 1
+    assert {c["name"]: c["ok"] for c in json.loads(out)["checks"]}[check] is False
+    assert f"FAIL {check}:" in err
+
+
+def _partition_with_first_edge(tmp_path, edge):
+    doc = _partition_doc(6, 2, 3)
+    doc["groups"][0][0] = edge
+    path = tmp_path / "bad_partition.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _sweep_argv(tmp, grid_text):
+    grid = tmp / "grid.json"
+    grid.write_text(grid_text)
+    return ["sweep", "--grid", str(grid), "--out", str(tmp / "out.csv")]
+
+
+# each must end in one "error:" line and exit 1, never a traceback
+BAD_INPUTS = {
+    "montecarlo-zero-trials": lambda tmp: [
+        "montecarlo", "--n", "30", "--d", "2", "--workers", "5", "--phi", "0.5",
+        "--trials", "0", "--seed", "3"],
+    "simulate-zero-rounds": lambda tmp: [
+        "simulate", "--n", "20", "--d", "2", "--workers", "3", "--rounds", "0",
+        "--phi-list", "0.5", "--seed", "5"],
+    "sweep-grid-not-an-object": lambda tmp: _sweep_argv(tmp, "[1, 2]"),
+    "sweep-grid-missing-axes": lambda tmp: _sweep_argv(tmp, '{"n": [6]}'),
+    "sweep-grid-axis-not-numbers": lambda tmp: _sweep_argv(
+        tmp, '{"n": [6], "d": ["2"], "N": [3]}'),
+    "sweep-grid-not-json": lambda tmp: _sweep_argv(tmp, "{n: 6"),
+    "verify-float-and-string-index": lambda tmp: [
+        "verify", "--partition", str(_partition_with_first_edge(tmp, [1.9, "2"]))],
+    "eval-float-and-string-index": lambda tmp: [
+        "eval", "--partition", str(_partition_with_first_edge(tmp, [1.9, "2"]))],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_is_one_error_line(case, tmp_path, capsys):
+    code, _, err = run(capsys, *BAD_INPUTS[case](tmp_path))
+    assert code == 1
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert "Traceback" not in err

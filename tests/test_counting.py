@@ -14,7 +14,6 @@ from ic_alloc.counting import (
     block_index,
     card_C_beta,
     card_R_beta_I,
-    counting_tables,
     m_beta,
     phi_min,
     pi_lower_bound,
@@ -288,17 +287,3 @@ def test_pi_lower_bound_invalid_phi():
     for phi in (0.0, -0.5, 1.5):
         with pytest.raises(InvalidPhi):
             pi_lower_bound(10, 2, 2, phi)
-
-
-# --- counting tables -------------------------------------------------------
-
-
-def test_counting_tables_consistency():
-    tables = counting_tables(2, 3, 2, g=1)
-    for row in tables.interior + tables.excluded:
-        assert row.t_beta == row.q_beta * row.m_beta + row.r_beta
-        assert 0 <= row.r_beta < row.m_beta
-    interior_by_beta = {r.beta: r for r in tables.interior}
-    assert interior_by_beta[2].t_beta == 4
-    excluded_by_beta = {r.beta: r for r in tables.excluded}
-    assert excluded_by_beta[1].t_beta == 2

@@ -164,8 +164,9 @@ def test_base_partition_extension_slices():
 
 
 def test_materialization_cap():
+    # C(600, 3) = 35.8M is over the 10^7 cap: refused before any allocation
     with pytest.raises(InstanceTooLarge):
-        build_base_partition(derive_parameters(100, 2, 10), max_tuples=1000)
+        build_base_partition(derive_parameters(600, 3, 200))
 
 
 # --- partition-level invariants ----------------------------------------------

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 
@@ -124,6 +125,37 @@ def test_parse_partition_schema_errors():
         parse_partition(json.dumps(doc))
     doc = json.loads(emit_partition(fp))
     doc["format_version"] = 999
+    with pytest.raises(SchemaError):
+        parse_partition(json.dumps(doc))
+
+
+
+def _doc_6_2_3():
+    return json.loads(emit_partition(as_final(build_base_partition(derive_parameters(6, 2, 3)))))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["groups"][0].__setitem__(0, [1.9, "2"]),
+        lambda doc: doc["groups"][0].__setitem__(0, [True, 2.0]),
+        lambda doc: doc["groups"][0].__setitem__(0, [1, 2.0]),
+        lambda doc: doc["groups"][0].__setitem__(0, "12"),
+        lambda doc: doc["footprints"][0].__setitem__(0, True),
+        lambda doc: doc["footprints"][0].__setitem__(0, 1.0),
+        lambda doc: doc.__setitem__("N", 3.0),
+        lambda doc: doc.__setitem__("d", "2"),
+        lambda doc: doc["groups"].__setitem__(0, 5),
+    ],
+    ids=[
+        "float-and-string", "true-and-float", "float", "string-edge",
+        "true-footprint", "float-footprint", "float-N", "string-d",
+        "group-not-a-list",
+    ],
+)
+def test_parse_partition_refuses_non_integers(edit):
+    doc = _doc_6_2_3()
+    edit(doc)
     with pytest.raises(SchemaError):
         parse_partition(json.dumps(doc))
 

@@ -101,7 +101,7 @@ def test_classify_excluded_totals():
 
 def test_classify_caps():
     with pytest.raises(InstanceTooLarge):
-        support_class_counts(100, 4, 2, cap=10**4)
+        support_class_counts(100, 4, 2)  # C(100, 4) = 3.9M > 10^6
     with pytest.raises(ValueError):
         support_class_counts(7, 2, 2)  # s must divide n
     with pytest.raises(ValueError):

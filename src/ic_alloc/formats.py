@@ -153,7 +153,8 @@ def parse_partition(text: str) -> FinalPartition:
         raise SchemaError(f"bad value: {exc}") from exc
     # every file index and n, d, N must be an int, checked in one C-level
     # scan, so a float, string or bool is refused rather than converted
-    stored = chain(chain.from_iterable(chain.from_iterable(groups)), chain.from_iterable(placement))
+    stored = chain(chain.from_iterable(chain.from_iterable(groups)),
+                   chain.from_iterable(placement))
     bad = set(map(type, stored)) | {type(doc[k]) for k in ("n", "d", "N")}
     bad.discard(int)
     if bad:

@@ -73,7 +73,9 @@ def brute_force_pi_star(
     return best, witness
 
 
-def support_class_counts(n: int, d: int, s: int, g: int = 0) -> dict[tuple[bool, tuple[int, ...]], int]:
+def support_class_counts(
+    n: int, d: int, s: int, g: int = 0
+) -> dict[tuple[bool, tuple[int, ...]], int]:
     """Enumerate the complete d-uniform set over [n] and count its tuples
     by (touches_tail, support): whether a tuple has an element in the
     excluded tail (the top g files), and the 1-based indices of the

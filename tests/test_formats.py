@@ -66,6 +66,44 @@ def test_parse_tasks_bad_counts():
         parse_tasks("4 2 1\n1 2 3\n")  # wrong arity
 
 
+# (text, error type, message, line) for each malformed input: parse_tasks
+# must keep every error's type, text and line number
+PARSE_TASKS_ERRORS = [
+    ("4 2 1\n1 x\n", ParseError, "line 2: non-integer token in '1 x'", 2),
+    ("4 2 1\n  1 x\t # note\n", ParseError, "line 2: non-integer token in '1 x'", 2),
+    ("4 2 1\n1 2.5\n", ParseError, "line 2: non-integer token in '1 2.5'", 2),
+    ("a b c\n", ParseError, "line 1: non-integer token in 'a b c'", 1),
+    ("4 2\n", ParseError, "line 1: header must be 'n d m'", 1),
+    ("4 5 1\n", ParseError, "line 1: invalid header n=4 d=5 m=1", 1),
+    ("0 1 0\n", ParseError, "line 1: invalid header n=0 d=1 m=0", 1),
+    ("4 2 -1\n", ParseError, "line 1: invalid header n=4 d=2 m=-1", 1),
+    ("4 2 1\n1 2 3\n", ParseError, "line 2: expected 2 elements, got 3", 2),
+    ("4 2 1\n3\n", ParseError, "line 2: expected 2 elements, got 1", 2),
+    ("4 2 1\n3 1\n", ParseError, "line 2: elements must be strictly ascending: [3, 1]", 2),
+    ("4 2 1\n2 2\n", ParseError, "line 2: elements must be strictly ascending: [2, 2]", 2),
+    ("4 3 1\n1 3 2\n", ParseError,
+     "line 2: elements must be strictly ascending: [1, 3, 2]", 2),
+    ("4 2 1\n3 5\n", IndexOutOfBounds, "line 2: elements of [3, 5] outside [1, 4]", 2),
+    ("4 2 1\n0 1\n", IndexOutOfBounds, "line 2: elements of [0, 1] outside [1, 4]", 2),
+    ("4 2 1\n-1 2\n", IndexOutOfBounds, "line 2: elements of [-1, 2] outside [1, 4]", 2),
+    ("4 2 2\n1 2\n1 2\n", DuplicateEdge, "line 3: edge (1, 2) listed twice", 3),
+    ("3 1 2\n2\n\n2\n", DuplicateEdge, "line 4: edge (2,) listed twice", 4),
+    ("4 2 2\n1 2\n", ParseError, "header announced 2 edges but 1 were given", None),
+    ("4 2 1\n1 2\n1 3\n", ParseError, "header announced 1 edges but 2 were given", None),
+    ("", ParseError, "empty input: missing 'n d m' header", None),
+    ("# only a comment\n\n", ParseError, "empty input: missing 'n d m' header", None),
+]
+
+
+@pytest.mark.parametrize("text,kind,message,line", PARSE_TASKS_ERRORS)
+def test_parse_tasks_error_type_message_and_line(text, kind, message, line):
+    with pytest.raises(ParseError) as err:
+        parse_tasks(text)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+    assert err.value.line == line
+
+
 def test_tasks_round_trip_plain():
     tasks = TaskSet.from_edges(7, 2, [(1, 2), (4, 5), (2, 7)])
     assert parse_tasks(emit_tasks(tasks)) == tasks
@@ -215,4 +253,28 @@ PARTITION_GOLDENS = {
 def test_emit_partition_golden_sha256(name):
     build, digest = PARTITION_GOLDENS[name]
     text = emit_partition(build())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of emit_tasks' text, taken before any change to the writer
+TASKS_GOLDENS = {
+    "with_metadata": (
+        lambda: thin(12, 3, ThinningSpec(0.4, 7)),
+        "1c9bfb0fe323bed29f81ee89a332b3c3e6e4767e595de8715c39c17da8a3719c",
+    ),
+    "without_metadata": (
+        lambda: TaskSet.from_edges(9, 2, [(1, 2), (8, 9), (3, 7), (2, 5)]),
+        "4721a0c5d7dae7f70eb5955462837c027d16e5dc64140757b8b91999e9371f5a",
+    ),
+    "empty": (
+        lambda: TaskSet.from_edges(5, 2, []),
+        "c6eeae8f4062bd62461376dd00129bf4cf382bb6a267f1418e98889c5c14b2f9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(TASKS_GOLDENS))
+def test_emit_tasks_golden_sha256(name):
+    build, digest = TASKS_GOLDENS[name]
+    text = emit_tasks(build())
     assert hashlib.sha256(text.encode()).hexdigest() == digest

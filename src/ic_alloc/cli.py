@@ -15,6 +15,7 @@ from pathlib import Path
 from .baselines import ThinningSpec, thin
 from .design import (
     BasePartition,
+    _derive,
     as_final,
     build_base_partition,
     derive_parameters,
@@ -75,6 +76,8 @@ def cmd_thin(args) -> int:
 
 def cmd_eval(args) -> int:
     fp = parse_partition(Path(args.partition).read_text())
+    if fp.params is not None and fp.params != _derive(fp.n, fp.d, fp.N):
+        raise SchemaError("stored params differ from those derived from (n, d, N)")
     if args.tasks is not None:
         tasks = _read_tasks(args.tasks)
         if fp.params is None:

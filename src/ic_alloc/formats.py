@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
+from operator import lt
 
 from .design import FinalPartition, ICParameters
 from .errors import DuplicateEdge, IndexOutOfBounds, ParseError, SchemaError
@@ -48,14 +49,13 @@ def parse_tasks(text: str) -> TaskSet:
                 key, _, value = comment.partition(":")
                 if key.strip() in _TASK_META_KEYS:
                     meta[key.strip()] = value.strip()
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         try:
-            values = [int(x) for x in parts]
+            values = tuple(map(int, parts))
         except ValueError:
-            raise ParseError(f"non-integer token in {line!r}", lineno)
+            raise ParseError(f"non-integer token in {raw.strip()!r}", lineno)
         if header is None:
             if len(values) != 3:
                 raise ParseError("header must be 'n d m'", lineno)
@@ -67,15 +67,14 @@ def parse_tasks(text: str) -> TaskSet:
         n, d, m = header
         if len(values) != d:
             raise ParseError(f"expected {d} elements, got {len(values)}", lineno)
-        if any(a >= b for a, b in zip(values, values[1:])):
-            raise ParseError(f"elements must be strictly ascending: {values}", lineno)
+        if not all(map(lt, values, values[1:])):
+            raise ParseError(f"elements must be strictly ascending: {list(values)}", lineno)
         if values[0] < 1 or values[-1] > n:
-            raise IndexOutOfBounds(f"elements of {values} outside [1, {n}]", lineno)
-        edge = tuple(values)
-        if edge in seen:
-            raise DuplicateEdge(f"edge {edge} listed twice", lineno)
-        seen.add(edge)
-        edges.append(edge)
+            raise IndexOutOfBounds(f"elements of {list(values)} outside [1, {n}]", lineno)
+        if values in seen:
+            raise DuplicateEdge(f"edge {values} listed twice", lineno)
+        seen.add(values)
+        edges.append(values)
 
     if header is None:
         raise ParseError("empty input: missing 'n d m' header")
@@ -101,7 +100,7 @@ def emit_tasks(tasks: TaskSet) -> str:
     if tasks.generator_id is not None:
         lines.append(f"# generator: {tasks.generator_id}")
     lines.append(f"{tasks.n} {tasks.d} {len(tasks.edges)}")
-    lines.extend(" ".join(str(x) for x in e) for e in tasks.edges)
+    lines.extend(map(" ".join(["%d"] * tasks.d).__mod__, tasks.edges))
     return "\n".join(lines) + "\n"
 
 
@@ -111,8 +110,22 @@ _PARTITION_KEYS = {
 }
 
 
+def _json_list(items: list[str], indent: int) -> str:
+    # json.dumps(..., indent=2) of a list, from its items' text `indent` deep
+    if not items:
+        return "[]"
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+
+
+def _int_rows(rows, indent: int) -> str:
+    # _json_list of int tuples, one %-template per tuple length
+    templates = {size: _json_list(["%d"] * size, indent + 2) for size in set(map(len, rows))}
+    return _json_list([templates[len(t)] % t for t in rows], indent)
+
+
 def emit_partition(p: FinalPartition) -> str:
-    """Serialize a partition (and its placement) as JSON."""
+    """Serialize a partition as the text of json.dumps(doc, indent=2, sort_keys=True)."""
     doc = {
         "format_version": FORMAT_VERSION,
         "n": p.n,
@@ -120,11 +133,16 @@ def emit_partition(p: FinalPartition) -> str:
         "N": p.N,
         "case": p.params.case if p.params is not None else None,
         "params": dict(p.params.__dict__) if p.params is not None else None,
-        "groups": [[list(t) for t in g] for g in p.groups],
-        "footprints": [list(f) for f in p.placement],
+        "groups": 0,
+        "footprints": 0,
         "metadata": p.metadata or {},
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    # only scalars sort before each array's key, so its first match is the key
+    head, _, text = text.partition('"footprints": 0')
+    mid, _, tail = text.partition('"groups": 0')
+    return "".join([head, '"footprints": ', _int_rows(p.placement, 4), mid, '"groups": ',
+                    _json_list([_int_rows(g, 6) for g in p.groups], 4), tail, "\n"])
 
 
 def parse_partition(text: str) -> FinalPartition:

@@ -5,6 +5,7 @@ bounds.  Used by the `verify` CLI subcommand."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .combinatorics import binomial, validate_dtuple
 from .design import (
@@ -28,32 +29,40 @@ class Check:
         return {"name": self.name, "ok": self.ok, "detail": self.detail}
 
 
+def _malformed(t, n: int, d: int) -> bool:
+    try:
+        return len(validate_dtuple(t, n)) != d
+    except ICAllocError:
+        return True
+
+
 def run_invariant_checks(p: FinalPartition) -> list[Check]:
     checks: list[Check] = []
 
     def add(name: str, ok: bool, detail: str = ""):
         checks.append(Check(name, ok, detail))
 
-    # structural validity
-    bad_edges = 0
-    for g in p.groups:
-        for t in g:
-            try:
-                validate_dtuple(t, p.n)
-                if len(t) != p.d:
-                    bad_edges += 1
-            except ICAllocError:
-                bad_edges += 1
+    total = sum(map(len, p.groups))
+    universe = binomial(p.n, p.d)
+    rederived = base = None
+    if p.params is not None:
+        try:
+            rederived = derive_parameters(p.params.n, p.params.d, p.params.N)
+        except ICAllocError as exc:
+            derive_error = str(exc)
+    # for a complete task set, the groups must reproduce the construction
+    if rederived is not None and total == universe <= DEFAULT_MATERIALIZE_CAP:
+        base = build_base_partition(rederived)
+    same_groups = base is not None and tuple(tuple(sorted(g)) for g in p.groups) == base.groups
+
+    # structural validity; the construction's edges are well formed
+    trusted = same_groups and (p.n, p.d) == (rederived.n, rederived.d)
+    bad_edges = 0 if trusted else sum(_malformed(t, p.n, p.d) for g in p.groups for t in g)
     add("edges_well_formed", bad_edges == 0, f"{bad_edges} malformed edges")
 
-    total = sum(len(g) for g in p.groups)
-    distinct = len({t for g in p.groups for t in g})
+    distinct = len(set(chain.from_iterable(p.groups)))
     add("groups_disjoint", distinct == total, f"{total} edges, {distinct} distinct")
-    add(
-        "edge_count_within_universe",
-        total <= binomial(p.n, p.d),
-        f"{total} <= C({p.n},{p.d})",
-    )
+    add("edge_count_within_universe", total <= universe, f"{total} <= C({p.n},{p.d})")
 
     add("assignments_feasible", _within_placement(p), "every group within its placement")
 
@@ -61,29 +70,18 @@ def run_invariant_checks(p: FinalPartition) -> list[Check]:
         return checks
 
     # parameter consistency
-    try:
-        rederived = derive_parameters(p.params.n, p.params.d, p.params.N)
-        add("params_rederivable", rederived == p.params, "stored == derived")
-    except ICAllocError as exc:
-        add("params_rederivable", False, str(exc))
+    if rederived is None:
+        add("params_rederivable", False, derive_error)
         return checks
+    add("params_rederivable", rederived == p.params, "stored == derived")
 
     # the rest is checked against the derived parameters, which a tampered
     # params object cannot change
     report = full_report(p, rederived)
     add("promised_bounds", report.bounds_ok, "all applicable cost bounds hold")
 
-    # for a complete task set, the groups must reproduce the construction
-    if total == binomial(p.n, p.d) and binomial(p.n, p.d) <= DEFAULT_MATERIALIZE_CAP:
-        base = build_base_partition(rederived)
-        add(
-            "matches_construction",
-            tuple(tuple(sorted(g)) for g in p.groups) == base.groups,
-            "group contents equal the canonical construction",
-        )
-        add(
-            "footprints_match_construction",
-            p.placement == base.footprints,
-            "placement equals the canonical footprints",
-        )
+    if base is not None:
+        add("matches_construction", same_groups, "group contents equal the canonical construction")
+        add("footprints_match_construction", p.placement == base.footprints,
+            "placement equals the canonical footprints")
     return checks

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from ic_alloc import verify
 from ic_alloc.baselines import ThinningSpec, thin
 from ic_alloc.cli import main
 from ic_alloc.design import as_final, build_base_partition, derive_parameters
@@ -262,10 +263,44 @@ def test_verify_check_fails_on_tampered_partition(case, tmp_path, capsys):
     assert f"FAIL {check}:" in err
 
 
+CHECK_NAMES = [
+    "edges_well_formed", "groups_disjoint", "edge_count_within_universe",
+    "assignments_feasible", "params_rederivable", "promised_bounds",
+    "matches_construction", "footprints_match_construction",
+]
+
+
+def test_verify_scans_edges_only_when_groups_differ_from_construction(monkeypatch):
+    calls = []
+    real = verify.validate_dtuple
+    monkeypatch.setattr(verify, "validate_dtuple", lambda t, n: calls.append(t) or real(t, n))
+
+    untouched = parse_partition(json.dumps(_partition_doc(12, 2, 3)))
+    checks = verify.run_invariant_checks(untouched)
+    assert [c.name for c in checks] == CHECK_NAMES and all(c.ok for c in checks)
+    assert calls == []
+
+    doc = _partition_doc(12, 2, 3)
+    _swap(doc, 0, 1, [1, 2], [2, 3])
+    checks = {c.name: c for c in verify.run_invariant_checks(parse_partition(json.dumps(doc)))}
+    assert len(calls) == 66
+    assert checks["edges_well_formed"].ok and checks["edges_well_formed"].detail == (
+        "0 malformed edges")
+    assert not checks["matches_construction"].ok
+
+
 def _partition_with_first_edge(tmp_path, edge):
     doc = _partition_doc(6, 2, 3)
     doc["groups"][0][0] = edge
     path = tmp_path / "bad_partition.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _partition_with_params(tmp_path, **edits):
+    doc = _partition_doc(6, 2, 3)
+    doc["params"].update(edits)
+    path = tmp_path / "bad_params.json"
     path.write_text(json.dumps(doc))
     return path
 
@@ -293,6 +328,8 @@ BAD_INPUTS = {
         "verify", "--partition", str(_partition_with_first_edge(tmp, [1.9, "2"]))],
     "eval-float-and-string-index": lambda tmp: [
         "eval", "--partition", str(_partition_with_first_edge(tmp, [1.9, "2"]))],
+    "eval-params-s-string": lambda tmp: [
+        "eval", "--partition", str(_partition_with_params(tmp, s="2"))],
 }
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -278,3 +279,45 @@ def test_emit_tasks_golden_sha256(name):
     build, digest = TASKS_GOLDENS[name]
     text = emit_tasks(build())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _reference_emit(p):
+    # the writer's definition: the standard library's indented JSON
+    doc = {
+        "format_version": 1,
+        "n": p.n,
+        "d": p.d,
+        "N": p.N,
+        "case": p.params.case if p.params is not None else None,
+        "params": dict(p.params.__dict__) if p.params is not None else None,
+        "groups": [[list(t) for t in g] for g in p.groups],
+        "footprints": [list(f) for f in p.placement],
+        "metadata": p.metadata or {},
+    }
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _base(n, d, N):
+    return build_base_partition(derive_parameters(n, d, N))
+
+
+WRITER_CASES = {
+    "divisible": lambda: as_final(_base(12, 2, 9)),
+    "nondivisible": lambda: as_final(_base(13, 2, 8)),
+    "d1": lambda: as_final(_base(7, 1, 3)),
+    "N-past-universe": lambda: as_final(_base(6, 2, 20)),
+    "refined-phi0": lambda: refine(_base(13, 2, 8), thin(13, 2, ThinningSpec(0.0, 5))),
+    "refined-phi0.3": lambda: refine(_base(10, 3, 7), thin(10, 3, ThinningSpec(0.3, 5))),
+    "refined-phi1": lambda: refine(_base(12, 2, 9), thin(12, 2, ThinningSpec(1.0, 5))),
+    "baseline-no-params": lambda: lex_partition(thin(9, 2, ThinningSpec(0.5, 2)), 4),
+    "metadata": lambda: replace(
+        as_final(_base(6, 2, 3)),
+        metadata={"note": '"groups": 0, "footprints": 0\n  x', "nested": {"groups": 0}},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(WRITER_CASES))
+def test_emit_partition_equals_json_dumps(name):
+    p = WRITER_CASES[name]()
+    assert emit_partition(p) == _reference_emit(p)

@@ -138,7 +138,7 @@ def emit_partition(p: FinalPartition) -> str:
         "metadata": p.metadata or {},
     }
     text = json.dumps(doc, indent=2, sort_keys=True)
-    # only scalars sort before each array's key, so its first match is the key
+    # the keys sorting before each array hold scalars, so its first match is its key
     head, _, text = text.partition('"footprints": 0')
     mid, _, tail = text.partition('"groups": 0')
     return "".join([head, '"footprints": ', _int_rows(p.placement, 4), mid, '"groups": ',

@@ -38,11 +38,18 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("workload", list(DIGESTS))
-def test_benchmark_smoke_run(workload):
+# Only a traced run reaches the names the traced replay and the routing
+# classes call (BasePartition, as_final, support_of), so two workloads also
+# run with --trace 1.
+@pytest.mark.parametrize(
+    "workload,trace",
+    [pytest.param(w, 0, id=w) for w in DIGESTS]
+    + [pytest.param(w, 1, id=f"{w}-trace") for w in ("cli-pipeline", "stream-route")],
+)
+def test_benchmark_smoke_run(workload, trace):
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
-         "--seed", "1", "--seconds", "1", "--trace", "0"],
+         "--seed", "1", "--seconds", "1", "--trace", str(trace)],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

@@ -18,9 +18,8 @@ from .counting import (
     t_beta,
 )
 from .design import (
-    BasePartition,
-    FinalPartition,
     ICParameters,
+    Partition,
     assign_base_group,
     assign_tasks,
     build_base_partition,
@@ -38,10 +37,9 @@ from .tasks import TaskSet
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasePartition",
     "CostReport",
-    "FinalPartition",
     "ICParameters",
+    "Partition",
     "TaskSet",
     "ThinningSpec",
     "arf_of",

@@ -29,7 +29,7 @@ from itertools import chain, compress
 
 from .combinatorics import _rank, binomial, enumerate_lex
 from .counting import block_bounds
-from .design import FinalPartition, _own_placement
+from .design import Partition, _own_placement
 from .errors import InvalidArgument, InvalidPhi
 from .tasks import TaskSet
 
@@ -107,7 +107,7 @@ def thin(n: int, d: int, spec: ThinningSpec) -> TaskSet:
     )
 
 
-def lex_partition(tasks: TaskSet, N: int) -> FinalPartition:
+def lex_partition(tasks: TaskSet, N: int) -> Partition:
     """Contiguous lexicographic split of X into N blocks, larger blocks
     first.  The obvious baseline the construction is measured against."""
     if N < 1:
@@ -120,7 +120,7 @@ def lex_partition(tasks: TaskSet, N: int) -> FinalPartition:
     return _own_placement(tasks.n, tasks.d, tuple(groups), {"baseline": "lex"})
 
 
-def random_partition(tasks: TaskSet, N: int, seed: int) -> FinalPartition:
+def random_partition(tasks: TaskSet, N: int, seed: int) -> Partition:
     """Place every edge uniformly at random among the N groups,
     deterministically from (seed, edge rank)."""
     if N < 1:

@@ -10,17 +10,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .baselines import ThinningSpec, thin
-from .design import (
-    BasePartition,
-    _derive,
-    as_final,
-    build_base_partition,
-    derive_parameters,
-    refine,
-)
+from .design import _derive, build_base_partition, derive_parameters, refine
 from .errors import ICAllocError, SchemaError
 from .formats import (
     emit_partition,
@@ -40,6 +34,11 @@ def _diag(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _show_warning(message, category, *_) -> None:
+    # one line, without the source file and line the default format prints
+    _diag(f"{category.__name__}: {message}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -54,11 +53,9 @@ def _read_tasks(path: str) -> TaskSet:
 
 def cmd_partition(args) -> int:
     params = derive_parameters(args.n, args.d, args.workers)
-    base = build_base_partition(params)
+    fp = build_base_partition(params)
     if args.tasks is not None:
-        fp = refine(base, _read_tasks(args.tasks))
-    else:
-        fp = as_final(base)
+        fp = refine(fp, _read_tasks(args.tasks))
     _diag(
         f"built {params.case} partition: k={params.k}, "
         f"family_size={params.family_size}, g={params.g}, N'={params.N_prime}"
@@ -82,8 +79,7 @@ def cmd_eval(args) -> int:
         tasks = _read_tasks(args.tasks)
         if fp.params is None:
             raise ICAllocError("--tasks requires a construction partition")
-        base = BasePartition(params=fp.params, groups=fp.groups, footprints=fp.placement)
-        fp = refine(base, tasks)
+        fp = refine(fp, tasks)
     report = full_report(fp, fp.params)
     print(json.dumps(report.as_dict(), indent=2))
     return 0
@@ -222,7 +218,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(args)
     except ICAllocError as exc:
         _diag(f"error: {exc}")
         return 1

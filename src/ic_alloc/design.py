@@ -82,17 +82,13 @@ class ICParameters:
     def family_size(self) -> int:
         return self.s if self.case == DIVISIBLE else self.s0
 
-    def family_of(self, x: int) -> int | None:
-        """Family index of file x, or None when x is excluded."""
-        if x > self.n_prime:
-            return None
-        return (x - 1) // self.family_size + 1
-
     @property
     def excluded(self) -> tuple[int, ...]:
         return tuple(range(self.n_prime + 1, self.n + 1))
 
 
+# SupportInfo and support_of are kept for the benchmark under perfbench/,
+# which tags routed tuples with them; the library itself routes by Router.
 @dataclass(frozen=True)
 class SupportInfo:
     """Support of one tuple: the families it touches, their count, and how
@@ -104,34 +100,15 @@ class SupportInfo:
 
 
 @dataclass(frozen=True)
-class BasePartition:
-    """The task-independent partition of all of A_{n,d} into N groups,
-    with each group's file footprint."""
+class Partition:
+    """A partition of a task set X into N groups plus the blind file
+    placement: placement[b] is the files worker b holds, a superset of
+    group b's own footprint.
 
-    params: ICParameters
-    groups: tuple[tuple[DTuple, ...], ...]
-    footprints: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return self.params.n
-
-    @property
-    def d(self) -> int:
-        return self.params.d
-
-    @property
-    def N(self) -> int:
-        return self.params.N
-
-
-@dataclass(frozen=True)
-class FinalPartition:
-    """A partition of a task set X plus the fixed blind file placement.
-
-    placement is the footprint of the underlying task-independent groups
-    (or, for baseline partitioners, of the groups themselves); every
-    group's own footprint is a subset of its placement entry.
+    The construction is the partition of the complete task set (phi = 1),
+    whose placement is its groups' footprints; refining it by any X keeps
+    that placement.  Baseline partitioners place each group's own
+    footprint.
     """
 
     n: int
@@ -144,6 +121,11 @@ class FinalPartition:
     @property
     def N(self) -> int:
         return len(self.groups)
+
+    @property
+    def footprints(self) -> tuple[tuple[int, ...], ...]:
+        # an alias of placement, kept only for the benchmark under perfbench/
+        return self.placement
 
 
 def derive_parameters(n: int, d: int, N: int) -> ICParameters:
@@ -213,11 +195,10 @@ def support_of(t, params: ICParameters) -> SupportInfo:
     fams = set()
     excluded = 0
     for x in t:
-        i = params.family_of(x)
-        if i is None:
+        if x > params.n_prime:
             excluded += 1
         else:
-            fams.add(i)
+            fams.add((x - 1) // params.family_size + 1)
     families = tuple(sorted(fams))
     return SupportInfo(families=families, beta=len(families), excluded_count=excluded)
 
@@ -295,8 +276,9 @@ def _extend(
     return tuple(out)
 
 
-def build_base_partition(params: ICParameters) -> BasePartition:
-    """Materialize the N groups and their footprints.
+def build_base_partition(params: ICParameters) -> Partition:
+    """Materialize the partition of the complete task set (phi = 1): the N
+    groups, each placed on its own footprint.
 
     Limited to C(n, d) <= DEFAULT_MATERIALIZE_CAP; beyond that use
     assign_base_group / assign_tasks, which never materialize a group.
@@ -308,10 +290,8 @@ def build_base_partition(params: ICParameters) -> BasePartition:
             f"cap {DEFAULT_MATERIALIZE_CAP}; use the streaming interface"
         )
     groups = _extend(_prime_partition(params.n, params.d, params.k), params)
-    return BasePartition(
-        params=params,
-        groups=groups,
-        footprints=tuple(footprint(g) for g in groups),
+    return Partition(
+        params.n, params.d, groups, tuple(footprint(g) for g in groups), params, {"phi": 1.0}
     )
 
 
@@ -320,12 +300,12 @@ def footprint(group) -> tuple[int, ...]:
     return tuple(sorted({x for t in group for x in t}))
 
 
-def _within_placement(p: FinalPartition) -> bool:
+def _within_placement(p: Partition) -> bool:
     """Whether every group touches only files of its own placement entry."""
     return all(set(held).issuperset(footprint(g)) for g, held in zip(p.groups, p.placement))
 
 
-def pre_extension_sizes(base: BasePartition) -> list[int]:
+def pre_extension_sizes(base: Partition) -> list[int]:
     """Sizes of the N' groups before the N-way relabelling, reconstructed
     by summing each group's slices."""
     N_prime = base.params.N_prime
@@ -496,7 +476,7 @@ def assign_base_group(t, params: ICParameters) -> int:
 # ---------------------------------------------------------------------------
 
 
-def refine(base: BasePartition, tasks: TaskSet) -> FinalPartition:
+def refine(base: Partition, tasks: TaskSet) -> Partition:
     """Intersect each group with X.  The placement is copied unchanged from
     the base partition, so the file allocation is identical for every X."""
     if tasks.n != base.n or tasks.d != base.d:
@@ -505,14 +485,7 @@ def refine(base: BasePartition, tasks: TaskSet) -> FinalPartition:
         )
     wanted = frozenset(tasks.edges)
     groups = tuple(tuple(filter(wanted.__contains__, g)) for g in base.groups)
-    return FinalPartition(
-        n=base.n,
-        d=base.d,
-        groups=groups,
-        placement=base.footprints,
-        params=base.params,
-        metadata=_task_metadata(tasks),
-    )
+    return Partition(base.n, base.d, groups, base.placement, base.params, _task_metadata(tasks))
 
 
 def eligible_placement(params: ICParameters) -> tuple[tuple[int, ...], ...]:
@@ -530,7 +503,7 @@ def eligible_placement(params: ICParameters) -> tuple[tuple[int, ...], ...]:
     return tuple(per_label[b % params.N_prime] for b in range(params.N))
 
 
-def assign_tasks(params: ICParameters, tasks: TaskSet) -> FinalPartition:
+def assign_tasks(params: ICParameters, tasks: TaskSet) -> Partition:
     """Streaming refinement: route every edge of X with the parameters'
     Router, never materializing the base partition.  The reported placement
     is the eligible-files bound, a valid (slightly conservative) blind
@@ -544,19 +517,15 @@ def assign_tasks(params: ICParameters, tasks: TaskSet) -> FinalPartition:
     groups: list[list[DTuple]] = [[] for _ in range(params.N)]
     for e in tasks.edges:  # canonical by the TaskSet contract; not validated again
         groups[rt.route(e) - 1].append(e)
-    return FinalPartition(
-        n=params.n,
-        d=params.d,
-        groups=tuple(tuple(g) for g in groups),
-        placement=eligible_placement(params),
-        params=params,
-        metadata=_task_metadata(tasks),
+    return Partition(
+        params.n, params.d, tuple(tuple(g) for g in groups), eligible_placement(params),
+        params, _task_metadata(tasks),
     )
 
 
 def partition_from_groups(
     n: int, d: int, groups, metadata: dict | None = None
-) -> FinalPartition:
+) -> Partition:
     """Wrap explicit groups (e.g. a hand-written partition) with their own
     footprints as placement.  Every tuple is validated."""
     return _own_placement(
@@ -564,26 +533,20 @@ def partition_from_groups(
     )
 
 
-def _own_placement(n: int, d: int, groups, metadata: dict | None) -> FinalPartition:
+def _own_placement(n: int, d: int, groups, metadata: dict | None) -> Partition:
     """Groups of canonical tuples, taken as given, with their own footprints
     as placement."""
-    return FinalPartition(
-        n=n, d=d, groups=groups,
-        placement=tuple(footprint(g) for g in groups), params=None, metadata=metadata,
-    )
+    return Partition(n, d, groups, tuple(footprint(g) for g in groups), None, metadata)
 
 
-def as_final(base: BasePartition) -> FinalPartition:
-    """View the base partition as the final partition of the complete task
-    set (phi = 1)."""
-    return FinalPartition(
-        n=base.n,
-        d=base.d,
-        groups=base.groups,
-        placement=base.footprints,
-        params=base.params,
-        metadata={"phi": 1.0},
-    )
+# BasePartition and as_final are kept only for the benchmark under
+# perfbench/, which still calls them; neither adds anything to Partition.
+def BasePartition(params: ICParameters, groups, footprints) -> Partition:
+    return Partition(params.n, params.d, groups, footprints, params)
+
+
+def as_final(base: Partition) -> Partition:
+    return base
 
 
 def _task_metadata(tasks: TaskSet) -> dict:

@@ -16,7 +16,7 @@ import json
 from itertools import chain
 from operator import lt
 
-from .design import FinalPartition, ICParameters
+from .design import ICParameters, Partition
 from .errors import DuplicateEdge, IndexOutOfBounds, ParseError, SchemaError
 from .harness import SweepRecord
 from .tasks import TaskSet
@@ -124,7 +124,7 @@ def _int_rows(rows, indent: int) -> str:
     return _json_list([templates[len(t)] % t for t in rows], indent)
 
 
-def emit_partition(p: FinalPartition) -> str:
+def emit_partition(p: Partition) -> str:
     """Serialize a partition as the text of json.dumps(doc, indent=2, sort_keys=True)."""
     doc = {
         "format_version": FORMAT_VERSION,
@@ -145,7 +145,7 @@ def emit_partition(p: FinalPartition) -> str:
                     _json_list([_int_rows(g, 6) for g in p.groups], 4), tail, "\n"])
 
 
-def parse_partition(text: str) -> FinalPartition:
+def parse_partition(text: str) -> Partition:
     """Inverse of emit_partition; raises SchemaError on malformed input."""
     try:
         doc = json.loads(text)
@@ -188,10 +188,7 @@ def parse_partition(text: str) -> FinalPartition:
             f"params ({params.n},{params.d},{params.N}) disagree with "
             f"document ({n},{d},{N})"
         )
-    return FinalPartition(
-        n=n, d=d, groups=groups, placement=placement,
-        params=params, metadata=doc["metadata"],
-    )
+    return Partition(n, d, groups, placement, params, doc["metadata"])
 
 
 def _csv_cell(value) -> str:

@@ -10,18 +10,12 @@ parallel with identical results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .baselines import _GOLDEN, ThinningSpec, mix64, thin
 from .counting import PhiMinResult, phi_min, pi_lower_bound
-from .design import (
-    FinalPartition,
-    _within_placement,
-    build_base_partition,
-    derive_parameters,
-    refine,
-)
+from .design import _within_placement, build_base_partition, derive_parameters, refine
 from .errors import DegenerateDenominator, ICAllocError, InvalidArgument, SchemaError
 from .metrics import CostReport, delta_of, full_report
 
@@ -179,7 +173,6 @@ class SimulationResult:
     """Per-round cost reports plus the blind-allocation verdict."""
 
     reports: tuple[CostReport, ...]
-    placements: tuple[bytes, ...] = field(repr=False, default=())
     placement_identical: bool = True
     feasible: bool = True
     placement_pi: int = 0
@@ -198,36 +191,29 @@ class SimulationResult:
         }
 
 
-def _placement_bytes(fp: FinalPartition) -> bytes:
-    return repr(fp.placement).encode("utf-8")
-
-
 def simulate_rounds(
     n: int, d: int, N: int, round_specs: list[ThinningSpec]
 ) -> SimulationResult:
     """Build the file placement once, then serve every round's task set by
-    refinement alone.  The verdict checks that the emitted placement is
-    byte-identical across rounds and that every round's group only touches
-    files its worker holds."""
+    refinement alone.  The verdict checks that every round's placement
+    equals the one built before the first round and that every round's
+    group only touches files its worker holds."""
     if not round_specs:
         raise InvalidArgument("need at least one round")
     params = derive_parameters(n, d, N)
     base = build_base_partition(params)
-    placement_pi = max((len(f) for f in base.footprints), default=0)
+    placement_pi = max((len(f) for f in base.placement), default=0)
 
     reports: list[CostReport] = []
-    blobs: list[bytes] = []
-    feasible = True
+    identical = feasible = True
     for spec in round_specs:
         tasks = thin(n, d, spec)
         fp = refine(base, tasks)
-        blobs.append(_placement_bytes(fp))
+        identical = fp.placement == base.placement and identical
         feasible = _within_placement(fp) and feasible
         reports.append(full_report(fp, params, spec.phi))
-    identical = all(b == blobs[0] for b in blobs)
     return SimulationResult(
         reports=tuple(reports),
-        placements=tuple(blobs),
         placement_identical=identical,
         feasible=feasible,
         placement_pi=placement_pi,

@@ -14,22 +14,22 @@ from dataclasses import dataclass, field
 from .combinatorics import binomial
 from .counting import phi_min, pi_lower_bound, pi_lower_bound_int
 from .errors import DegenerateDenominator
-from .design import DIVISIBLE, BasePartition, FinalPartition, ICParameters, footprint
+from .design import DIVISIBLE, ICParameters, Partition, footprint
 
 TOL = 1e-9
 
 
-def _footprint_sizes(p: FinalPartition | BasePartition) -> list[int]:
+def _footprint_sizes(p: Partition) -> list[int]:
     return [len(footprint(g)) for g in p.groups]
 
 
-def pi_of(p: FinalPartition | BasePartition) -> int:
+def pi_of(p: Partition) -> int:
     """Communication cost: max over groups of distinct-file count.  0 for
     an all-empty partition."""
     return max(_footprint_sizes(p), default=0)
 
 
-def delta_of(p: FinalPartition | BasePartition) -> float:
+def delta_of(p: Partition) -> float:
     """Computation cost: max group size over the ideal load ceil(|X|/N),
     N the number of groups.  0 when X is empty."""
     total = sum(len(g) for g in p.groups)
@@ -38,7 +38,7 @@ def delta_of(p: FinalPartition | BasePartition) -> float:
     return max(len(g) for g in p.groups) / math.ceil(total / len(p.groups))
 
 
-def arf_of(p: FinalPartition | BasePartition) -> float:
+def arf_of(p: Partition) -> float:
     """Average replication factor: (1/n) * sum of group footprint sizes.
     Empty groups contribute 0."""
     return sum(_footprint_sizes(p)) / p.n
@@ -56,13 +56,7 @@ class BoundCheck:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "applicable": self.applicable,
-            "satisfied": self.satisfied,
-            "detail": self.detail,
-        }
+        return dict(self.__dict__)
 
 
 @dataclass(frozen=True)
@@ -189,7 +183,7 @@ def promised_bounds(
 
 
 def full_report(
-    p: FinalPartition | BasePartition,
+    p: Partition,
     params: ICParameters | None = None,
     phi: float | None = None,
 ) -> CostReport:
@@ -200,7 +194,7 @@ def full_report(
     partitions get the universal checks alone.
     """
     if params is None:
-        params = getattr(p, "params", None)
+        params = p.params
     n, d, N = p.n, p.d, len(p.groups)
     task_count = sum(len(g) for g in p.groups)
     if phi is None:

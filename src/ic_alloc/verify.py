@@ -10,7 +10,7 @@ from itertools import chain
 from .combinatorics import binomial, validate_dtuple
 from .design import (
     DEFAULT_MATERIALIZE_CAP,
-    FinalPartition,
+    Partition,
     _within_placement,
     build_base_partition,
     derive_parameters,
@@ -26,7 +26,7 @@ class Check:
     detail: str = ""
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
+        return dict(self.__dict__)
 
 
 def _malformed(t, n: int, d: int) -> bool:
@@ -36,7 +36,7 @@ def _malformed(t, n: int, d: int) -> bool:
         return True
 
 
-def run_invariant_checks(p: FinalPartition) -> list[Check]:
+def run_invariant_checks(p: Partition) -> list[Check]:
     checks: list[Check] = []
 
     def add(name: str, ok: bool, detail: str = ""):
@@ -82,6 +82,6 @@ def run_invariant_checks(p: FinalPartition) -> list[Check]:
 
     if base is not None:
         add("matches_construction", same_groups, "group contents equal the canonical construction")
-        add("footprints_match_construction", p.placement == base.footprints,
+        add("footprints_match_construction", p.placement == base.placement,
             "placement equals the canonical footprints")
     return checks

@@ -46,13 +46,13 @@ def _evaluate(n: int, d: int, N: int) -> GridPoint | None:
     distinct = len({t for g in base.groups for t in g})
     valid = total == cnd and distinct == cnd
 
-    pi = max(len(f) for f in base.footprints)
+    pi = max(len(f) for f in base.placement)
     slack = (2**d - d) if params.case == "divisible" else (2 ** (d + 1) - 2 * d)
     size_bound_ok = all(
         abs(sz * params.N_prime - cnd) <= slack * params.N_prime
         for sz in pre_extension_sizes(base)
     )
-    arf = sum(len(f) for f in base.footprints) / n
+    arf = sum(len(f) for f in base.placement) / n
     return GridPoint(
         n=n,
         d=d,

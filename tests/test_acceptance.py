@@ -16,7 +16,6 @@ from ic_alloc.counting import (
     pi_lower_bound_int,
 )
 from ic_alloc.design import (
-    as_final,
     assign_base_group,
     build_base_partition,
     derive_parameters,
@@ -235,7 +234,6 @@ def test_criterion_11_blindness():
         result.verdict == "PASS"
         and result.placement_identical
         and result.feasible
-        and len(set(result.placements)) == 1
     )
     acceptance_line(
         11, "3-round simulation: byte-identical placements, every round feasible", ok
@@ -271,4 +269,4 @@ def test_grid_fixture_arf_agrees_with_direct_recomputation(grid_points):
     assert sample
     for p in sample:
         base = build_base_partition(derive_parameters(p.n, p.d, p.N))
-        assert math.isclose(arf_of(as_final(base)), p.arf, rel_tol=1e-12)
+        assert math.isclose(arf_of(base), p.arf, rel_tol=1e-12)

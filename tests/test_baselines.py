@@ -15,7 +15,6 @@ from ic_alloc.baselines import (
 )
 from ic_alloc.combinatorics import binomial, enumerate_lex
 from ic_alloc.design import (
-    as_final,
     build_base_partition,
     derive_parameters,
     partition_from_groups,
@@ -170,7 +169,7 @@ def test_random_partition_has_near_full_footprints():
 def test_ic_beats_baselines_on_pi(N):
     n, d = 30, 2
     params = derive_parameters(n, d, N)
-    ic_pi = pi_of(as_final(build_base_partition(params)))
+    ic_pi = pi_of(build_base_partition(params))
     tasks = TaskSet.full(n, d)
     assert ic_pi <= pi_of(lex_partition(tasks, N))
     for seed in range(5):

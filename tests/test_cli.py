@@ -10,7 +10,7 @@ import pytest
 from ic_alloc import verify
 from ic_alloc.baselines import ThinningSpec, thin
 from ic_alloc.cli import main
-from ic_alloc.design import as_final, build_base_partition, derive_parameters
+from ic_alloc.design import build_base_partition, derive_parameters
 from ic_alloc.formats import emit_partition, emit_tasks, parse_partition, parse_tasks
 from ic_alloc.tasks import TaskSet
 
@@ -108,6 +108,9 @@ def test_partition_warns_about_the_regime_once(n, warnings_expected, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.count("ParameterRegimeWarning") == warnings_expected, proc.stderr
+    # one line that names no source location
+    assert ".py:" not in proc.stderr, proc.stderr
+    assert proc.stderr.count("\n") == 1 + warnings_expected, proc.stderr
 
 
 def test_thin_round_trip(tmp_path, capsys):
@@ -197,10 +200,10 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_eval_tasks_and_verify_stdout_golden(tmp_path, capsys):
-    # sha256 of the stdout, taken before any change to FinalPartition,
+    # sha256 of the stdout, taken before any change to the partition type,
     # full_report or verify; both must stay byte-identical
     part, tasks = tmp_path / "p.json", tmp_path / "x.txt"
-    part.write_text(emit_partition(as_final(build_base_partition(derive_parameters(13, 2, 8)))))
+    part.write_text(emit_partition(build_base_partition(derive_parameters(13, 2, 8))))
     tasks.write_text(emit_tasks(thin(13, 2, ThinningSpec(0.5, 11))))
 
     code, out, _ = run(capsys, "eval", "--partition", str(part), "--tasks", str(tasks))
@@ -216,7 +219,7 @@ def test_eval_tasks_and_verify_stdout_golden(tmp_path, capsys):
 
 
 def _partition_doc(n, d, N):
-    return json.loads(emit_partition(as_final(build_base_partition(derive_parameters(n, d, N)))))
+    return json.loads(emit_partition(build_base_partition(derive_parameters(n, d, N))))
 
 
 def _move(doc, src, dst, edge):

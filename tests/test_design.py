@@ -116,13 +116,13 @@ def test_base_partition_6_2_3_exact_contents():
         ((1, 5), (1, 6), (2, 5), (2, 6), (5, 6)),
         ((3, 5), (3, 6), (4, 5), (4, 6)),
     )
-    assert base.footprints == ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6))
+    assert base.placement == ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6))
 
 
 def test_base_partition_7_2_3_case2():
     base = build_base_partition(derive_parameters(7, 2, 3))
     assert (1, 7) in base.groups[0]
-    assert max(len(f) for f in base.footprints) <= 5  # s0*d + g
+    assert max(len(f) for f in base.placement) <= 5  # s0*d + g
     total = sum(len(g) for g in base.groups)
     assert total == binomial(7, 2)
 
@@ -149,7 +149,7 @@ def test_base_partition_11_2_3_exact_contents():
             (8, 9), (8, 11), (9, 10), (9, 11),
         ),
     )
-    assert base.footprints == (
+    assert base.placement == (
         (1, 2, 3, 4, 5, 6, 10, 11),
         (1, 2, 3, 7, 8, 9, 10, 11),
         (4, 5, 6, 7, 8, 9, 10, 11),
@@ -179,7 +179,7 @@ def test_partition_is_valid(n, d, N):
     cnd = binomial(n, d)
     assert sum(len(g) for g in base.groups) == cnd
     assert len({t for g in base.groups for t in g}) == cnd
-    for g, fp in zip(base.groups, base.footprints):
+    for g, fp in zip(base.groups, base.placement):
         assert {x for t in g for x in t} == set(fp)
         assert list(g) == sorted(g)
 
@@ -188,7 +188,7 @@ def test_partition_is_valid(n, d, N):
 def test_pi_matches_case_promise(n, d, N):
     params = derive_parameters(n, d, N)
     base = build_base_partition(params)
-    pi = max(len(f) for f in base.footprints)
+    pi = max(len(f) for f in base.placement)
     if params.case == DIVISIBLE:
         assert pi == params.s * d
     else:
@@ -303,7 +303,7 @@ def test_refine_worked_example():
     tasks = TaskSet.from_edges(6, 2, [(1, 2), (3, 5), (1, 6)])
     fp = refine(base, tasks)
     assert fp.groups == (((1, 2),), ((1, 6),), ((3, 5),))
-    assert fp.placement == base.footprints
+    assert fp.placement == base.placement
 
 
 def test_refine_full_and_empty():
@@ -312,7 +312,7 @@ def test_refine_full_and_empty():
     assert full.groups == base.groups
     empty = refine(base, TaskSet(7, 2, ()))
     assert all(len(g) == 0 for g in empty.groups)
-    assert empty.placement == base.footprints
+    assert empty.placement == base.placement
 
 
 def test_refine_dimension_mismatch():

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from ic_alloc.baselines import ThinningSpec, lex_partition, thin
-from ic_alloc.design import as_final, build_base_partition, derive_parameters, refine
+from ic_alloc.design import build_base_partition, derive_parameters, refine
 from ic_alloc.errors import DuplicateEdge, IndexOutOfBounds, ParseError, SchemaError
 from ic_alloc.formats import (
     SWEEP_COLUMNS,
@@ -119,7 +119,7 @@ def test_tasks_round_trip_with_metadata():
 
 def test_partition_round_trip_ic():
     base = build_base_partition(derive_parameters(6, 2, 3))
-    fp = as_final(base)
+    fp = base
     back = parse_partition(emit_partition(fp))
     assert back.groups == fp.groups
     assert back.placement == fp.placement
@@ -141,7 +141,7 @@ def test_partition_round_trip_refined_and_baseline():
 
 def test_emit_then_eval_equals_direct_eval():
     params = derive_parameters(7, 2, 3)
-    fp = as_final(build_base_partition(params))
+    fp = build_base_partition(params)
     direct = full_report(fp, params)
     loaded = parse_partition(emit_partition(fp))
     via_file = full_report(loaded, loaded.params)
@@ -155,7 +155,7 @@ def test_parse_partition_schema_errors():
         parse_partition("[1, 2]")
     with pytest.raises(SchemaError):
         parse_partition('{"n": 5}')  # missing keys
-    fp = as_final(build_base_partition(derive_parameters(6, 2, 3)))
+    fp = build_base_partition(derive_parameters(6, 2, 3))
     import json
 
     doc = json.loads(emit_partition(fp))
@@ -170,7 +170,7 @@ def test_parse_partition_schema_errors():
 
 
 def _doc_6_2_3():
-    return json.loads(emit_partition(as_final(build_base_partition(derive_parameters(6, 2, 3)))))
+    return json.loads(emit_partition(build_base_partition(derive_parameters(6, 2, 3))))
 
 
 @pytest.mark.parametrize(
@@ -221,15 +221,15 @@ def test_csv_rows_include_skips():
 
 # --- byte-identity goldens ----------------------------------------------------
 # sha256 of emit_partition's text, taken before any change to the writer or to
-# FinalPartition; a rewrite must reproduce these bytes exactly.
+# the partition type; a rewrite must reproduce these bytes exactly.
 
 PARTITION_GOLDENS = {
     "divisible": (
-        lambda: as_final(build_base_partition(derive_parameters(12, 2, 9))),
+        lambda: build_base_partition(derive_parameters(12, 2, 9)),
         "8a2f3db1ab11a3bb76bc0670064e916ae21ea7f0a612c3171512df88b87b1b60",
     ),
     "nondivisible": (
-        lambda: as_final(build_base_partition(derive_parameters(13, 2, 8))),
+        lambda: build_base_partition(derive_parameters(13, 2, 8)),
         "4fb914796dffc758e289d5a1f0818d156ddf50e18d22defd5ca188fba0c2504d",
     ),
     "refined": (
@@ -302,16 +302,16 @@ def _base(n, d, N):
 
 
 WRITER_CASES = {
-    "divisible": lambda: as_final(_base(12, 2, 9)),
-    "nondivisible": lambda: as_final(_base(13, 2, 8)),
-    "d1": lambda: as_final(_base(7, 1, 3)),
-    "N-past-universe": lambda: as_final(_base(6, 2, 20)),
+    "divisible": lambda: _base(12, 2, 9),
+    "nondivisible": lambda: _base(13, 2, 8),
+    "d1": lambda: _base(7, 1, 3),
+    "N-past-universe": lambda: _base(6, 2, 20),
     "refined-phi0": lambda: refine(_base(13, 2, 8), thin(13, 2, ThinningSpec(0.0, 5))),
     "refined-phi0.3": lambda: refine(_base(10, 3, 7), thin(10, 3, ThinningSpec(0.3, 5))),
     "refined-phi1": lambda: refine(_base(12, 2, 9), thin(12, 2, ThinningSpec(1.0, 5))),
     "baseline-no-params": lambda: lex_partition(thin(9, 2, ThinningSpec(0.5, 2)), 4),
     "metadata": lambda: replace(
-        as_final(_base(6, 2, 3)),
+        _base(6, 2, 3),
         metadata={"note": '"groups": 0, "footprints": 0\n  x', "nested": {"groups": 0}},
     ),
 }

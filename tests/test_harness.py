@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 
+from ic_alloc import harness
 from ic_alloc.baselines import ThinningSpec
+from ic_alloc.design import footprint, refine
 from ic_alloc.formats import emit_sweep_csv
 from ic_alloc.harness import (
     MonteCarloSummary,
@@ -139,8 +142,22 @@ def test_simulate_rounds_blindness_verdict():
     assert len(result.reports) == 3
     deltas = {round(r.delta, 9) for r in result.reports}
     assert len(deltas) == 3  # three distinct task sets, three balance factors
-    assert len(set(result.placements)) == 1
     assert result.placement_pi == result.reports[-1].pi  # phi=1 round uses everything
+
+
+def test_simulate_rounds_fails_when_the_placement_follows_the_tasks(monkeypatch):
+    # a refine that places each group on its own footprint over X; a sparse
+    # round leaves most of a group's files unused, so its placement shrinks
+    def leaky_refine(base, tasks):
+        fp = refine(base, tasks)
+        return replace(fp, placement=tuple(footprint(g) for g in fp.groups))
+
+    specs = [ThinningSpec(phi=0.02, seed=1), ThinningSpec(phi=0.02, seed=2)]
+    assert simulate_rounds(60, 2, 6, specs).verdict == "PASS"
+    monkeypatch.setattr(harness, "refine", leaky_refine)
+    result = simulate_rounds(60, 2, 6, specs)
+    assert result.feasible and not result.placement_identical
+    assert result.verdict == "FAIL"
 
 
 def test_simulate_single_round_phi_one_equals_plain_partition():

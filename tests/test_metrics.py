@@ -3,7 +3,6 @@ import random
 
 from ic_alloc.baselines import random_partition
 from ic_alloc.design import (
-    as_final,
     build_base_partition,
     derive_parameters,
     partition_from_groups,
@@ -30,7 +29,7 @@ def test_delta_of_goldens():
     B = partition_from_groups(7, 2, EXAMPLE1_B)
     assert math.isclose(delta_of(A), 4 / 3, rel_tol=1e-12)
     assert delta_of(B) == 1.0
-    ic = as_final(build_base_partition(derive_parameters(6, 2, 3)))
+    ic = build_base_partition(derive_parameters(6, 2, 3))
     assert math.isclose(delta_of(ic), 6 / 5, rel_tol=1e-12)
 
 
@@ -40,7 +39,7 @@ def test_delta_of_empty_partition_is_zero():
 
 
 def test_arf_of_goldens():
-    ic = as_final(build_base_partition(derive_parameters(6, 2, 3)))
+    ic = build_base_partition(derive_parameters(6, 2, 3))
     assert arf_of(ic) == 2.0
     assert arf_of(ic) < math.sqrt(2 * 3)
     B = partition_from_groups(7, 2, EXAMPLE1_B)
@@ -61,7 +60,7 @@ def test_arf_never_exceeds_N_pi_over_n():
 
 def test_full_report_worked_case1():
     params = derive_parameters(6, 2, 3)
-    report = full_report(as_final(build_base_partition(params)), params, 1.0)
+    report = full_report(build_base_partition(params), params, 1.0)
     assert report.pi == 4
     assert math.isclose(report.pi_lb, 3.4641016, rel_tol=1e-6)
     assert report.pi_lb_int == 4
@@ -75,7 +74,7 @@ def test_full_report_worked_case1():
 
 def test_full_report_worked_case2():
     params = derive_parameters(7, 2, 3)
-    report = full_report(as_final(build_base_partition(params)), params, 1.0)
+    report = full_report(build_base_partition(params), params, 1.0)
     assert report.pi <= 5
     by_name = {b.name: b for b in report.bounds}
     assert by_name["pi_le_s0d_plus_g"].value == 5
@@ -84,7 +83,7 @@ def test_full_report_worked_case2():
 
 def test_full_report_single_worker():
     params = derive_parameters(8, 2, 1)
-    report = full_report(as_final(build_base_partition(params)), params, 1.0)
+    report = full_report(build_base_partition(params), params, 1.0)
     assert report.pi == 8
     assert report.delta == 1.0
     assert math.isclose(report.gap, 1.0, rel_tol=1e-12)
@@ -110,7 +109,7 @@ def test_gap_at_most_4e_in_guarantee_regime():
     for n, d, N in [(64, 2, 10), (100, 2, 40), (96, 3, 20)]:
         params = derive_parameters(n, d, N)
         assert guarantee_regime(params)
-        report = full_report(as_final(build_base_partition(params)), params, 1.0)
+        report = full_report(build_base_partition(params), params, 1.0)
         assert report.gap <= 4 * math.e + 1e-9
         assert report.bounds_ok
 

@@ -107,8 +107,8 @@ class Partition:
 
     The construction is the partition of the complete task set (phi = 1),
     whose placement is its groups' footprints; refining it by any X keeps
-    that placement.  Baseline partitioners place each group's own
-    footprint.
+    that placement.  assign_tasks places the eligible-files bound instead,
+    and baseline partitioners place each group's own footprint.
     """
 
     n: int

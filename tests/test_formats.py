@@ -118,8 +118,7 @@ def test_tasks_round_trip_with_metadata():
 
 
 def test_partition_round_trip_ic():
-    base = build_base_partition(derive_parameters(6, 2, 3))
-    fp = base
+    fp = build_base_partition(derive_parameters(6, 2, 3))
     back = parse_partition(emit_partition(fp))
     assert back.groups == fp.groups
     assert back.placement == fp.placement

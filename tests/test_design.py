@@ -1,11 +1,16 @@
+import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
 from ic_alloc.combinatorics import binomial, enumerate_lex, lex_unrank
+from ic_alloc.counting import block_bounds
 from ic_alloc.design import (
     DIVISIBLE,
     NONDIVISIBLE,
+    _derive,
+    _eligible_groups,
     _prime_partition,
     assign_base_group,
     assign_tasks,
@@ -154,6 +159,72 @@ def test_base_partition_11_2_3_exact_contents():
         (1, 2, 3, 7, 8, 9, 10, 11),
         (4, 5, 6, 7, 8, 9, 10, 11),
     )
+
+
+def _reference_prime_partition(n, d, k):
+    """The construction by classifying every tuple of A_{n,d}: work out
+    the families it touches and whether it touches the excluded tail, file
+    it under that support class, then deal each class (a full-support one
+    whole) to its eligible labels."""
+    params = _derive(n, d, binomial(k, d))
+    size, n_prime = params.family_size, params.n_prime
+    full, buckets = {}, {}
+    for t in enumerate_lex(n, d):
+        fams, exc = set(), False
+        for x in t:
+            if x > n_prime:
+                exc = True
+            else:
+                fams.add((x - 1) // size + 1)
+        I = tuple(sorted(fams))
+        if not exc and len(I) == d:
+            full.setdefault(I, []).append(t)
+        else:
+            buckets.setdefault((exc, I), []).append(t)
+    labels = list(combinations(range(1, k + 1), d))
+    groups = {sigma: list(full.get(sigma, ())) for sigma in labels}
+    for (_, I), members in buckets.items():
+        eligible = _eligible_groups(I, params.f, d)
+        for j, sigma in enumerate(eligible, start=1):
+            start, end = block_bounds(len(members), len(eligible), j)
+            groups[sigma].extend(members[start - 1 : end])
+    return tuple(tuple(sorted(groups[sigma])) for sigma in labels)
+
+
+def test_prime_partition_matches_per_tuple_classification():
+    """Every supported (n, d, N) with d <= 4, N <= 40 and n up to 45, 60,
+    36 and 24 for d = 1..4: 5,209 points, 959 distinct (n, d, k), since N
+    reaches the construction only through k.  Budget: about 3 s."""
+    seen, kinds = set(), set()
+    for d, n_max in ((1, 45), (2, 60), (3, 36), (4, 24)):
+        for n in range(d, n_max + 1):
+            for N in range(1, 41):
+                try:
+                    params = _derive(n, d, N)
+                except UnsupportedParameters:
+                    continue
+                kinds |= {params.case, (N == 1, "N=1"), (d == 1, "d=1"),
+                          (params.k_capped, "k capped"), (0 < params.g < d, "0 < g < d")}
+                if (n, d, params.k) not in seen:
+                    seen.add((n, d, params.k))
+                    expected = _reference_prime_partition(n, d, params.k)
+                    assert _prime_partition(n, d, params.k) == expected, (n, d, N)
+    assert len(seen) == 959
+    assert {DIVISIBLE, NONDIVISIBLE, (True, "N=1"), (True, "d=1"), (True, "k capped"),
+            (True, "0 < g < d")} <= kinds
+
+
+GROUPS_SHA256 = {
+    (121, 40): "29b96b6349e1fcb7b6a2331392f9e5e57becc8e0519cbd91951a6385dc536565",
+    (96, 30): "87ca6b325126c1edb8bc8715bbc8bebb538d5a02135cb44db815b8a88ddb3775",
+}
+
+
+@pytest.mark.parametrize("n,N", sorted(GROUPS_SHA256))
+def test_base_partition_groups_golden_sha256(n, N):
+    # the benchmark's two materialized instances: non-divisible and divisible
+    groups = build_base_partition(derive_parameters(n, 3, N)).groups
+    assert hashlib.sha256(repr(groups).encode()).hexdigest() == GROUPS_SHA256[n, N]
 
 
 def test_base_partition_extension_slices():

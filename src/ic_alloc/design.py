@@ -30,10 +30,11 @@ import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product, starmap
+from operator import add
 from typing import NamedTuple
 
-from .combinatorics import DTuple, binomial, enumerate_lex, validate_dtuple
+from .combinatorics import DTuple, binomial, validate_dtuple
 from .counting import (
     beta_range_excluded,
     beta_range_interior,
@@ -214,49 +215,49 @@ def _eligible_groups(I: tuple[int, ...], f: int, d: int) -> list[tuple[int, ...]
     return sorted(tuple(sorted(I + J)) for J in combinations(rest, d - len(I)))
 
 
+def _support_class(blocks: list[tuple[int, ...]], d: int) -> list[DTuple]:
+    """The d-tuples taking at least one element from each of these blocks
+    and none from elsewhere, each block lying above the one before, in
+    lexicographic order.  Each split of d into per-block counts is a product
+    of the blocks' combinations, already in lexicographic order; the splits
+    interleave, so the class is sorted once."""
+    members: list[DTuple] = []
+    for counts in product(range(1, d + 1), repeat=len(blocks)):
+        if sum(counts) == d:
+            joined = [()]
+            for block, c in zip(blocks, counts):
+                joined = starmap(add, product(joined, combinations(block, c)))
+            members.extend(joined)
+    members.sort()
+    return members
+
+
 @lru_cache(maxsize=2)
 def _prime_partition(n: int, d: int, k: int) -> tuple[tuple[DTuple, ...], ...]:
     """The N' = C(k, d) groups over all of A_{n,d}, lexicographically
     ordered by group label, each group lexicographically sorted.
 
-    Cached on (n, d, k) because every N with the same k shares it.
+    Each support class (its families I, touching the excluded tail or not)
+    is generated directly and dealt to the labels containing I; the
+    full-support class (|I| = d, no tail) has one such label and goes to it
+    whole.  Cached on (n, d, k) because every N with the same k shares it.
     """
     params = _derive(n, d, binomial(k, d))
     if params.k != k:  # only reachable through inconsistent internal calls
         raise UnsupportedParameters(f"no N maps to k={k} for n={n}, d={d}")
-    size = params.family_size
-    n_prime = params.n_prime
-
-    full: dict[tuple[int, ...], list[DTuple]] = {}
-    buckets: dict[tuple[bool, tuple[int, ...]], list[DTuple]] = {}
-    for t in enumerate_lex(n, d):
-        fams: set[int] = set()
-        exc = False
-        for x in t:
-            if x > n_prime:
-                exc = True
-            else:
-                fams.add((x - 1) // size + 1)
-        I = tuple(sorted(fams))
-        if not exc and len(I) == d:
-            full.setdefault(I, []).append(t)
-        else:
-            buckets.setdefault((exc, I), []).append(t)
-
+    families, tail = build_families(params), params.excluded
     labels = list(combinations(range(1, k + 1), d))
     groups: dict[tuple[int, ...], list[DTuple]] = {sigma: [] for sigma in labels}
-    for sigma, members in full.items():
-        groups[sigma].extend(members)
-
-    for (_, I), members in buckets.items():
-        eligible = _eligible_groups(I, params.f, d)
-        t_cnt = len(members)
-        m_cnt = len(eligible)
-        for j, sigma in enumerate(eligible, start=1):
-            start, end = block_bounds(t_cnt, m_cnt, j)
-            if start > end:
-                break
-            groups[sigma].extend(members[start - 1 : end])
+    for beta in range(d + 1):
+        for I in combinations(range(1, k + 1), beta):
+            blocks = [families[i - 1] for i in I]
+            eligible = _eligible_groups(I, params.f, d)
+            for members in (_support_class(blocks, d), _support_class(blocks + [tail], d)):
+                for j, sigma in enumerate(eligible, start=1):
+                    start, end = block_bounds(len(members), len(eligible), j)
+                    if start > end:
+                        break
+                    groups[sigma].extend(members[start - 1 : end])
 
     return tuple(tuple(sorted(groups[sigma])) for sigma in labels)
 

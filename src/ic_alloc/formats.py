@@ -28,7 +28,7 @@ SWEEP_COLUMNS = [
     "pi", "pi_lb", "gap", "delta", "delta_X", "arf", "bounds_ok",
 ]
 
-_TASK_META_KEYS = ("format_version", "phi", "seed", "generator")
+_TASK_META_TYPES = {"format_version": str, "phi": float, "seed": int, "generator": str}
 
 
 def parse_tasks(text: str) -> TaskSet:
@@ -38,7 +38,7 @@ def parse_tasks(text: str) -> TaskSet:
     header: tuple[int, int, int] | None = None
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
-    meta: dict[str, str] = {}
+    meta: dict[str, object] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         comment = None
@@ -47,8 +47,12 @@ def parse_tasks(text: str) -> TaskSet:
             comment = comment.strip()
             if ":" in comment:
                 key, _, value = comment.partition(":")
-                if key.strip() in _TASK_META_KEYS:
-                    meta[key.strip()] = value.strip()
+                key, value = key.strip(), value.strip()
+                if key in _TASK_META_TYPES:
+                    try:
+                        meta[key] = _TASK_META_TYPES[key](value)
+                    except ValueError:
+                        raise ParseError(f"bad {key} value {value!r}", lineno)
         parts = raw.split()
         if not parts:
             continue
@@ -82,12 +86,8 @@ def parse_tasks(text: str) -> TaskSet:
     if len(edges) != m:
         raise ParseError(f"header announced {m} edges but {len(edges)} were given")
 
-    phi = float(meta["phi"]) if "phi" in meta else None
-    seed = int(meta["seed"]) if "seed" in meta else None
-    generator = meta.get("generator")
-    return TaskSet(
-        n, d, tuple(sorted(edges)), phi=phi, seed=seed, generator_id=generator
-    )
+    return TaskSet(n, d, tuple(sorted(edges)), phi=meta.get("phi"), seed=meta.get("seed"),
+                   generator_id=meta.get("generator"))
 
 
 def emit_tasks(tasks: TaskSet) -> str:
@@ -164,10 +164,13 @@ def parse_partition(text: str) -> Partition:
             params = ICParameters(**doc["params"])
         except TypeError as exc:
             raise SchemaError(f"bad params object: {exc}") from exc
+    rows = doc["groups"]
     try:
-        groups = tuple(tuple(map(tuple, g)) for g in doc["groups"])
+        # pop each group's JSON lists as it is converted (last first), so the
+        # document's groups and their tuple copy are never both whole in memory
+        groups = tuple(tuple(map(tuple, rows.pop())) for _ in range(len(rows)))[::-1]
         placement = tuple(map(tuple, doc["footprints"]))
-    except TypeError as exc:
+    except (TypeError, AttributeError) as exc:
         raise SchemaError(f"bad value: {exc}") from exc
     # every file index and n, d, N must be an int, checked in one C-level
     # scan, so a float, string or bool is refused rather than converted

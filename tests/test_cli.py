@@ -10,7 +10,7 @@ import pytest
 from ic_alloc import verify
 from ic_alloc.baselines import ThinningSpec, thin
 from ic_alloc.cli import main
-from ic_alloc.design import build_base_partition, derive_parameters
+from ic_alloc.design import _prime_partition, build_base_partition, derive_parameters
 from ic_alloc.formats import emit_partition, emit_tasks, parse_partition, parse_tasks
 from ic_alloc.tasks import TaskSet
 
@@ -61,6 +61,24 @@ def test_partition_with_tasks(tmp_path, capsys):
     assert code == 0
     fp = parse_partition(out)
     assert sum(len(g) for g in fp.groups) == 6
+
+
+def test_placement_is_equal_across_two_independent_builds(tmp_path, capsys):
+    # two builds, the second with X, each from a cleared construction cache
+    # and read back from its file; at phi=0.02 no group's tuples touch all of
+    # its files, so a placement taken from X would differ from the blind one
+    tasks = tmp_path / "x.txt"
+    blind, with_x = tmp_path / "blind.json", tmp_path / "with_x.json"
+    argv = ["partition", "--n", "60", "--d", "2", "--workers", "6"]
+    assert run(capsys, "thin", "--n", "60", "--d", "2", "--phi", "0.02", "--seed", "7",
+               "--out", str(tasks))[0] == 0
+    _prime_partition.cache_clear()
+    assert run(capsys, *argv, "--out", str(blind))[0] == 0
+    _prime_partition.cache_clear()
+    assert run(capsys, *argv, "--tasks", str(tasks), "--out", str(with_x))[0] == 0
+    first, second = parse_partition(blind.read_text()), parse_partition(with_x.read_text())
+    assert 0 < sum(map(len, second.groups)) < sum(map(len, first.groups))
+    assert second.placement == first.placement
 
 
 def test_verify_rejects_tampered_partition(tmp_path, capsys):
@@ -308,6 +326,18 @@ def _partition_with_params(tmp_path, **edits):
     return path
 
 
+def _tasks_with_comment(tmp, comment):
+    path = tmp / "bad_tasks.txt"
+    path.write_text(f"# {comment}\n" + EXAMPLE1_TEXT)
+    return str(path)
+
+
+def _eval_tasks_argv(tmp, comment):
+    part = tmp / "p.json"
+    part.write_text(emit_partition(build_base_partition(derive_parameters(7, 2, 3))))
+    return ["eval", "--partition", str(part), "--tasks", _tasks_with_comment(tmp, comment)]
+
+
 def _sweep_argv(tmp, grid_text):
     grid = tmp / "grid.json"
     grid.write_text(grid_text)
@@ -333,6 +363,12 @@ BAD_INPUTS = {
         "eval", "--partition", str(_partition_with_first_edge(tmp, [1.9, "2"]))],
     "eval-params-s-string": lambda tmp: [
         "eval", "--partition", str(_partition_with_params(tmp, s="2"))],
+    "eval-tasks-phi-not-a-number": lambda tmp: _eval_tasks_argv(tmp, "phi: zz"),
+    "eval-tasks-seed-not-an-integer": lambda tmp: _eval_tasks_argv(tmp, "seed: abc"),
+    "bruteforce-phi-not-a-number": lambda tmp: [
+        "bruteforce", "--tasks", _tasks_with_comment(tmp, "phi: zz"), "--workers", "2"],
+    "bruteforce-seed-not-an-integer": lambda tmp: [
+        "bruteforce", "--tasks", _tasks_with_comment(tmp, "seed: abc"), "--workers", "2"],
 }
 
 

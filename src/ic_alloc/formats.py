@@ -111,11 +111,15 @@ _PARTITION_KEYS = {
 
 
 def _json_list(items: list[str], indent: int) -> str:
-    # json.dumps(..., indent=2) of a list, from its items' text `indent` deep
+    # json.dumps(..., indent=2) of a list, from its items' text `indent` deep;
+    # the brackets go onto the first and last items (items is consumed), so
+    # the items' text is copied once, not once per concatenation
     if not items:
         return "[]"
     pad = "\n" + " " * indent
-    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+    items[0] = "[" + pad + items[0]
+    items[-1] += pad[:-2] + "]"
+    return ("," + pad).join(items)
 
 
 def _int_rows(rows, indent: int) -> str:

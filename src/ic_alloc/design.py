@@ -222,7 +222,8 @@ def _support_class(blocks: list[tuple[int, ...]], d: int) -> list[DTuple]:
     of the blocks' combinations, already in lexicographic order; the splits
     interleave, so the class is sorted once."""
     members: list[DTuple] = []
-    for counts in product(range(1, d + 1), repeat=len(blocks)):
+    # each block takes 1 to d - (len(blocks) - 1) elements
+    for counts in product(range(1, d - len(blocks) + 2), repeat=len(blocks)):
         if sum(counts) == d:
             joined = [()]
             for block, c in zip(blocks, counts):

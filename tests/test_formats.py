@@ -172,19 +172,35 @@ def test_parse_partition_schema_errors():
 
 
 
-def test_parse_partition_peak_memory_stays_near_its_result():
-    # the document's groups are released as they are converted, so the
-    # traced peak stays near the tuples kept (2.3x before that was done)
-    text = emit_partition(build_base_partition(derive_parameters(48, 3, 20)))
+def _traced(call):
+    """call()'s result, the traced memory it keeps, and its traced peak."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        parsed = parse_partition(text)
+        result = call()
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return result, kept - before, peak - before
+
+
+def test_parse_partition_peak_memory_stays_near_its_result():
+    # the document's groups are released as they are converted, so the
+    # traced peak stays near the tuples kept; holding the whole document
+    # while copying it peaks at 2.3x
+    text = emit_partition(build_base_partition(derive_parameters(48, 3, 20)))
+    parsed, kept, peak = _traced(lambda: parse_partition(text))
     assert parsed.N == 20
-    assert peak - before < 1.6 * (kept - before)
+    assert peak < 1.6 * kept
+
+
+def test_emit_partition_copies_the_groups_text_once():
+    # the groups' item texts and one joined copy are alive at the peak;
+    # bracketing the joined text by concatenation adds a third copy (3.0x)
+    base = build_base_partition(derive_parameters(48, 3, 20))
+    text, kept, peak = _traced(lambda: emit_partition(base))
+    assert len(text) > 500_000
+    assert peak < 2.4 * kept
 
 
 def _doc_6_2_3():

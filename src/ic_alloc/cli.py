@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .baselines import ThinningSpec, thin
 from .design import _derive, build_base_partition, derive_parameters, refine
-from .errors import ICAllocError, SchemaError
+from .errors import ICAllocError, InvalidArgument, SchemaError
 from .formats import (
     emit_partition,
     emit_sweep_csv,
@@ -136,7 +136,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    phis = [float(x) for x in args.phi_list.split(",")]
+    try:
+        phis = [float(x) for x in args.phi_list.split(",")]
+    except ValueError:
+        raise InvalidArgument(f"--phi-list is not a list of numbers: {args.phi_list!r}") from None
     specs = [
         ThinningSpec(phi=phis[i % len(phis)], seed=args.seed + i)
         for i in range(args.rounds)

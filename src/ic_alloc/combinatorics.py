@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+from operator import lt
 from typing import Iterator
 
 from .errors import InvalidArgument, InvalidDimensions, RankOutOfRange
@@ -26,13 +27,16 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def validate_dtuple(t, n: int) -> DTuple:
-    """Return t as a canonical d-tuple, checking it is strictly increasing
-    with every element in [1, n]."""
-    t = tuple(int(x) for x in t)
-    if not t:
-        raise InvalidDimensions("a d-tuple must have at least one element")
-    if any(a >= b for a, b in zip(t, t[1:])):
+def validate_dtuple(t, n: int, d: int) -> DTuple:
+    """Return t as a tuple after checking it is a canonical d-tuple: d >= 1
+    elements of type int (bool, float and str are refused), strictly
+    increasing, in [1, n]."""
+    t = tuple(t)
+    if not 0 < len(t) == d:
+        raise InvalidDimensions(f"tuple {t} does not have d={d} >= 1 elements")
+    if set(map(type, t)) != {int}:
+        raise InvalidDimensions(f"elements of {t} must be ints")
+    if not all(map(lt, t, t[1:])):
         raise InvalidDimensions(f"elements must be strictly increasing: {t}")
     if t[0] < 1 or t[-1] > n:
         raise InvalidDimensions(f"elements of {t} must lie in [1, {n}]")
@@ -59,7 +63,8 @@ def _range_sum(n: int, a: int, b: int, u: int) -> int:
 def lex_rank(t, n: int) -> int:
     """1-based position of d-tuple t in the lexicographic enumeration of
     d-subsets of [1, n]."""
-    return _rank(validate_dtuple(t, n), n)
+    t = tuple(t)
+    return _rank(validate_dtuple(t, n, len(t)), n)
 
 
 def _rank(t: DTuple, n: int) -> int:

@@ -1,16 +1,15 @@
 """Counting and ranking of *covering subsets*.
 
 The universe is a list of disjoint, ascending integer intervals
-("blocks"), each optionally flagged as required.  A covering u-subset
-draws u distinct elements from the union of the blocks and contains at
-least one element from every required block.
+("blocks").  A covering u-subset draws u distinct elements from the
+union of the blocks and contains at least one element from every block.
 
 Two families in the partition construction reduce to this shape:
 
-* tuples supported by exactly the families in a set I: blocks are the
-  member families, all required;
+* tuples supported by exactly the families in a set I: the blocks are
+  the member families;
 * tuples supported by exactly I and touching the excluded tail: the same
-  blocks plus the excluded interval, all required.
+  blocks plus the excluded interval.
 
 All counts are exact integers; "below" refers to the lexicographic
 order of the subsets as sorted tuples.
@@ -22,35 +21,31 @@ from math import comb
 
 from .combinatorics import _range_sum
 
-Block = tuple[int, int, bool]  # (lo, hi, required), inclusive bounds
+Block = tuple[int, int]  # (lo, hi), inclusive bounds
 
 
-def ways_by_count(pools: list[tuple[int, bool]], u: int) -> list[int]:
+def ways_by_count(widths: list[int], u: int) -> list[int]:
     """ways[x] = number of x-subsets drawn from disjoint pools of the given
-    sizes that take at least one element from every required pool."""
+    widths that take at least one element from every pool."""
     ways = [0] * (u + 1)
     ways[0] = 1
-    for size, required in pools:
+    for size in widths:
         nxt = [0] * (u + 1)
-        start = 1 if required else 0
         for x, wx in enumerate(ways):
             if not wx:
                 continue
-            for j in range(start, min(size, u - x) + 1):
+            for j in range(1, min(size, u - x) + 1):
                 nxt[x + j] += wx * comb(size, j)
         ways = nxt
     return ways
-
-
-def _pools(blocks: list[Block]) -> list[tuple[int, bool]]:
-    return [(hi - lo + 1, req) for lo, hi, req in blocks]
 
 
 def suffix_tables(blocks: list[Block], u: int) -> list[list[int]]:
     """For each block, ways_by_count(..., u) over the blocks after it.  Its
     prefixes serve every smaller u, and it depends only on the layout, so
     callers ranking many tuples in one universe build it once."""
-    return [ways_by_count(_pools(blocks[bi + 1 :]), u) for bi in range(len(blocks))]
+    widths = [hi - lo + 1 for lo, hi in blocks]
+    return [ways_by_count(widths[bi + 1 :], u) for bi in range(len(blocks))]
 
 
 def count_below(
@@ -67,7 +62,7 @@ def count_below(
     nb = len(blocks)
     total = 0
     prev = 0
-    last = -1  # block of the previous element; every required block up to it is hit
+    last = -1  # block of the previous element; every block up to it is hit
     for pos, tj in enumerate(t[:d]):
         u = d - pos - 1
         # blocks before `last` lie wholly below prev and offer no candidate
@@ -75,7 +70,7 @@ def count_below(
         while True:
             if bi == nb:
                 return total
-            lo, hi, req = blocks[bi]
+            lo, hi = blocks[bi]
             if lo > tj:
                 return total  # tj falls in a gap
             va = max(prev + 1, lo)
@@ -89,8 +84,8 @@ def count_below(
                         total += wx * _range_sum(hi, va, vb, u - x)
             if hi >= tj:
                 break  # tj lies in this block
-            if req and bi > last:
-                return total  # a required block left behind can never be covered
+            if bi > last:
+                return total  # a block left behind can never be covered
             bi += 1
         last = bi
         prev = tj

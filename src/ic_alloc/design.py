@@ -32,18 +32,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product, starmap
 from operator import add
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .combinatorics import DTuple, binomial, validate_dtuple
-from .counting import (
-    beta_range_excluded,
-    beta_range_interior,
-    block_bounds,
-    block_index,
-    card_R_beta_I,
-    t_beta,
-)
-from .covering import Block, count_below, suffix_tables
+from .counting import block_bounds, block_index
+from .covering import Block, count_below, suffix_tables, ways_by_count
 from .errors import (
     DimensionMismatch,
     InstanceTooLarge,
@@ -192,7 +185,7 @@ def build_families(params: ICParameters) -> list[tuple[int, ...]]:
 
 def support_of(t, params: ICParameters) -> SupportInfo:
     """Families touched by t plus its excluded-element count."""
-    t = validate_dtuple(t, params.n)
+    t = validate_dtuple(t, params.n, params.d)
     fams = set()
     excluded = 0
     for x in t:
@@ -215,19 +208,19 @@ def _eligible_groups(I: tuple[int, ...], f: int, d: int) -> list[tuple[int, ...]
     return sorted(tuple(sorted(I + J)) for J in combinations(rest, d - len(I)))
 
 
-def _support_class(blocks: list[tuple[int, ...]], d: int) -> list[DTuple]:
-    """The d-tuples taking at least one element from each of these blocks
-    and none from elsewhere, each block lying above the one before, in
-    lexicographic order.  Each split of d into per-block counts is a product
-    of the blocks' combinations, already in lexicographic order; the splits
-    interleave, so the class is sorted once."""
+def _support_class(blocks: list[Block], d: int) -> list[DTuple]:
+    """The d-tuples taking at least one element from each of these
+    intervals and none from elsewhere, each interval lying above the one
+    before, in lexicographic order.  Each split of d into per-block counts
+    is a product of the blocks' combinations, already in lexicographic
+    order; the splits interleave, so the class is sorted once."""
     members: list[DTuple] = []
     # each block takes 1 to d - (len(blocks) - 1) elements
     for counts in product(range(1, d - len(blocks) + 2), repeat=len(blocks)):
         if sum(counts) == d:
             joined = [()]
-            for block, c in zip(blocks, counts):
-                joined = starmap(add, product(joined, combinations(block, c)))
+            for (lo, hi), c in zip(blocks, counts):
+                joined = starmap(add, product(joined, combinations(range(lo, hi + 1), c)))
             members.extend(joined)
     members.sort()
     return members
@@ -238,29 +231,26 @@ def _prime_partition(n: int, d: int, k: int) -> tuple[tuple[DTuple, ...], ...]:
     """The N' = C(k, d) groups over all of A_{n,d}, lexicographically
     ordered by group label, each group lexicographically sorted.
 
-    Each support class (its families I, touching the excluded tail or not)
-    is generated directly and dealt to the labels containing I; the
-    full-support class (|I| = d, no tail) has one such label and goes to it
-    whole.  Cached on (n, d, k) because every N with the same k shares it.
+    Each support class of the Router for (n, d, C(k, d)) is generated from
+    its blocks and cut into the rank ranges it deals to its eligible
+    labels; the full-support class (|I| = d, no tail) has one such label
+    and goes to it whole.  Cached on (n, d, k) because every N with the
+    same k shares it.
     """
     params = _derive(n, d, binomial(k, d))
     if params.k != k:  # only reachable through inconsistent internal calls
         raise UnsupportedParameters(f"no N maps to k={k} for n={n}, d={d}")
-    families, tail = build_families(params), params.excluded
-    labels = list(combinations(range(1, k + 1), d))
-    groups: dict[tuple[int, ...], list[DTuple]] = {sigma: [] for sigma in labels}
-    for beta in range(d + 1):
-        for I in combinations(range(1, k + 1), beta):
-            blocks = [families[i - 1] for i in I]
-            eligible = _eligible_groups(I, params.f, d)
-            for members in (_support_class(blocks, d), _support_class(blocks + [tail], d)):
-                for j, sigma in enumerate(eligible, start=1):
-                    start, end = block_bounds(len(members), len(eligible), j)
-                    if start > end:
-                        break
-                    groups[sigma].extend(members[start - 1 : end])
+    rt = Router(params)
+    groups: dict[tuple[int, ...], list[DTuple]] = {sigma: [] for sigma in rt.labels}
+    for cls in rt.classes_within(range(1, k + 1)):
+        members = _support_class(cls.blocks, d)
+        for j, sigma in enumerate(cls.eligible, start=1):
+            start, end = cls.ranks(j)
+            if start > end:
+                break
+            groups[sigma].extend(members[start - 1 : end])
 
-    return tuple(tuple(sorted(groups[sigma])) for sigma in labels)
+    return tuple(tuple(sorted(groups[sigma])) for sigma in rt.labels)
 
 
 def _extend(
@@ -325,21 +315,28 @@ def pre_extension_sizes(base: Partition) -> list[int]:
 class _SupportClass(NamedTuple):
     """The tuples with support I (touching the excluded tail or not): their
     block universe with its count_below suffix tables, their number, and the
-    labels they are dealt to in lexicographic order."""
+    labels they are dealt to in lexicographic order, each label taking a
+    near-equal contiguous range of the class's lexicographic ranks."""
 
     blocks: list[Block]
     suffix: list[list[int]]
     size: int
     eligible: list[tuple[int, ...]]
 
+    def ranks(self, j: int) -> tuple[int, int]:
+        """1-based inclusive range of the ranks dealt to the j-th eligible
+        label; empty (start > end) past the class's last member."""
+        return block_bounds(self.size, len(self.eligible), j)
+
 
 class Router:
-    """The closed-form router of one parameter set.
+    """The closed-form router of one parameter set; the materialized build
+    reads its description of the support classes too.
 
     Everything in it depends only on (n, d, N): the label ranks up front,
-    and, built on first use, each support class and each split label's cut
-    tuples, the first member of every slice after the first.  Its memory
-    is O(classes + split labels), never O(C(n, d)).
+    and, built on first use, each non-empty support class and each split
+    label's cut tuples, the first member of every slice after the first.
+    Its memory is O(classes + split labels), never O(C(n, d)).
     """
 
     def __init__(self, params: ICParameters):
@@ -349,24 +346,35 @@ class Router:
         self._classes: dict[tuple[tuple[int, ...], bool], _SupportClass] = {}
         self._cuts: dict[int, list[DTuple]] = {}
 
-    def support_class(self, I: tuple[int, ...], exc: bool) -> _SupportClass:
-        """The support class (I, exc), built on first use."""
+    def support_class(self, I: tuple[int, ...], exc: bool) -> _SupportClass | None:
+        """The support class (I, exc), built on first use, or None when no
+        d-tuple has that support; an empty class is not kept."""
         cls = self._classes.get((I, exc))
         if cls is None:
             p = self.params
-            size, beta = p.family_size, len(I)
-            blocks: list[Block] = [((i - 1) * size + 1, i * size, True) for i in I]
+            size = p.family_size
+            blocks: list[Block] = [((i - 1) * size + 1, i * size) for i in I]
             if exc:
-                blocks.append((p.n_prime + 1, p.n, True))
-                count = card_R_beta_I(size, p.f, p.g, p.d, beta)
-            else:
-                count = t_beta(size, p.f, p.d, beta)
+                blocks.append((p.n_prime + 1, p.n))
+            count = ways_by_count([hi - lo + 1 for lo, hi in blocks], p.d)[p.d]
+            if not count:
+                return None
             # the label tuples themselves, not equal copies
             eligible = [self.labels[self.label_rank[s] - 1] for s in _eligible_groups(I, p.f, p.d)]
             cls = self._classes[I, exc] = _SupportClass(
                 blocks, suffix_tables(blocks, p.d - 1), count, eligible
             )
         return cls
+
+    def classes_within(self, families) -> Iterator[_SupportClass]:
+        """Every non-empty support class whose families all lie in
+        `families` (one label, or all of [f]), by support size."""
+        for beta in range(self.params.d + 1):
+            for I in combinations(families, beta):
+                for exc in (False, True):
+                    cls = self.support_class(I, exc)
+                    if cls is not None:
+                        yield cls
 
     def label_of(self, t: DTuple) -> tuple[int, ...]:
         """Label sigma of the pre-extension group holding t."""
@@ -403,19 +411,11 @@ class Router:
         1-based inclusive range of its lexicographic ranks that sigma gets,
         and the group's size before extension.  The full-support class
         (I = sigma) is dealt whole to sigma."""
-        p = self.params
-        kinds = [(beta_range_interior(p.family_size, p.d), False)]
-        if p.case == NONDIVISIBLE:
-            kinds.append((beta_range_excluded(p.family_size, p.g, p.d), True))
         out = []
-        for betas, exc in kinds:
-            for beta in betas:
-                for I in combinations(sigma, beta):
-                    cls = self.support_class(I, exc)
-                    j = bisect_left(cls.eligible, sigma) + 1
-                    start, end = block_bounds(cls.size, len(cls.eligible), j)
-                    if start <= end:
-                        out.append((cls, start, end))
+        for cls in self.classes_within(sigma):
+            start, end = cls.ranks(bisect_left(cls.eligible, sigma) + 1)
+            if start <= end:
+                out.append((cls, start, end))
         return out, sum(end - start + 1 for _, start, end in out)
 
     def position(self, t: DTuple, pieces) -> int:
@@ -467,10 +467,7 @@ def router(params: ICParameters) -> Router:
 def assign_base_group(t, params: ICParameters) -> int:
     """Group index in [1, N] holding tuple t, equal to membership in the
     materialized partition but computed by rank arithmetic alone."""
-    t = validate_dtuple(t, params.n)
-    if len(t) != params.d:
-        raise InvalidDimensions(f"tuple {t} does not have d={params.d} elements")
-    return router(params).route(t)
+    return router(params).route(validate_dtuple(t, params.n, params.d))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +528,7 @@ def partition_from_groups(
     """Wrap explicit groups (e.g. a hand-written partition) with their own
     footprints as placement.  Every tuple is validated."""
     return _own_placement(
-        n, d, tuple(tuple(validate_dtuple(t, n) for t in g) for g in groups), metadata
+        n, d, tuple(tuple(validate_dtuple(t, n, d) for t in g) for g in groups), metadata
     )
 
 

@@ -48,13 +48,10 @@ class TaskSet:
     ) -> "TaskSet":
         """Canonicalize arbitrary edge input: validate every edge as a
         strictly increasing d-tuple over [1, n], sort, reject dupes."""
-        canon = sorted(validate_dtuple(e, n) for e in edges)
+        canon = sorted(validate_dtuple(e, n, d) for e in edges)
         for a, b in zip(canon, canon[1:]):
             if a == b:
                 raise DuplicateEdge(f"edge {a} listed twice")
-        for e in canon:
-            if len(e) != d:
-                raise InvalidDimensions(f"edge {e} does not have {d} elements")
         return TaskSet(n, d, tuple(canon), phi=phi, seed=seed, generator_id=generator_id)
 
     @staticmethod

@@ -31,9 +31,10 @@ class Check:
 
 def _malformed(t, n: int, d: int) -> bool:
     try:
-        return len(validate_dtuple(t, n)) != d
+        validate_dtuple(t, n, d)
     except ICAllocError:
         return True
+    return False
 
 
 def run_invariant_checks(p: Partition) -> list[Check]:

@@ -228,7 +228,9 @@ def test_criterion_10_replication_factor_bounds(grid_points):
 
 
 def test_criterion_11_blindness():
-    specs = [ThinningSpec(phi=phi, seed=seed) for seed, phi in enumerate((0.3, 0.6, 1.0))]
+    # at phi = 0.02 some group misses files of its placement, so a placement
+    # taken from the round's tasks would differ from the blind one
+    specs = [ThinningSpec(phi=phi, seed=seed) for seed, phi in enumerate((0.3, 0.6, 1.0, 0.02))]
     result = simulate_rounds(60, 2, 6, specs)
     ok = (
         result.verdict == "PASS"
@@ -236,7 +238,7 @@ def test_criterion_11_blindness():
         and result.feasible
     )
     acceptance_line(
-        11, "3-round simulation: byte-identical placements, every round feasible", ok
+        11, "4-round simulation: byte-identical placements, every round feasible", ok
     )
     assert ok
 

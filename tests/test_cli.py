@@ -294,7 +294,8 @@ CHECK_NAMES = [
 def test_verify_scans_edges_only_when_groups_differ_from_construction(monkeypatch):
     calls = []
     real = verify.validate_dtuple
-    monkeypatch.setattr(verify, "validate_dtuple", lambda t, n: calls.append(t) or real(t, n))
+    monkeypatch.setattr(
+        verify, "validate_dtuple", lambda t, n, d: calls.append(t) or real(t, n, d))
 
     untouched = parse_partition(json.dumps(_partition_doc(12, 2, 3)))
     checks = verify.run_invariant_checks(untouched)
@@ -352,6 +353,12 @@ BAD_INPUTS = {
     "simulate-zero-rounds": lambda tmp: [
         "simulate", "--n", "20", "--d", "2", "--workers", "3", "--rounds", "0",
         "--phi-list", "0.5", "--seed", "5"],
+    "simulate-phi-list-not-numbers": lambda tmp: [
+        "simulate", "--n", "20", "--d", "2", "--workers", "3", "--rounds", "2",
+        "--phi-list", "0.3,abc", "--seed", "5"],
+    "simulate-phi-list-empty": lambda tmp: [
+        "simulate", "--n", "20", "--d", "2", "--workers", "3", "--rounds", "2",
+        "--phi-list", "", "--seed", "5"],
     "sweep-grid-not-an-object": lambda tmp: _sweep_argv(tmp, "[1, 2]"),
     "sweep-grid-missing-axes": lambda tmp: _sweep_argv(tmp, '{"n": [6]}'),
     "sweep-grid-axis-not-numbers": lambda tmp: _sweep_argv(

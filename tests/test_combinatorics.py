@@ -11,7 +11,9 @@ from ic_alloc.combinatorics import (
     lex_unrank,
     validate_dtuple,
 )
+from ic_alloc.design import assign_base_group, derive_parameters, partition_from_groups
 from ic_alloc.errors import InvalidDimensions, RankOutOfRange
+from ic_alloc.tasks import TaskSet
 
 
 def factorial_binomial(n, k):
@@ -101,7 +103,7 @@ def test_round_trip_property(n, d, data):
     d = min(d, n)
     r = data.draw(st.integers(1, binomial(n, d)))
     t = lex_unrank(r, n, d)
-    assert validate_dtuple(t, n) == t
+    assert validate_dtuple(t, n, d) == t
     assert len(t) == d
     assert lex_rank(t, n) == r
 
@@ -114,11 +116,28 @@ def test_unrank_out_of_range():
 
 
 def test_validate_dtuple_rejects_bad_tuples():
+    # (tuple, d) at n = 6: order, range, length, and element types that
+    # int() would have converted
+    rows = [
+        ((3, 1), 2), ((1, 1), 2), ((0, 2), 2), ((2, 7), 2),
+        ((1, 2, 3), 2), ((4,), 2), ((), 0), ((), 2),
+        ((1.9, 2), 2), ((1, "2"), 2), ((True, 3), 2), ((1.0, 2.0), 2),
+    ]
+    for t, d in rows:
+        with pytest.raises(InvalidDimensions):
+            validate_dtuple(t, 6, d)
+
+
+# every entry point that takes a caller's tuples refuses them the same way
+ENTRY_POINTS = {
+    "from_edges": lambda: TaskSet.from_edges(6, 2, [(1.9, "2"), (True, 3)]),
+    "assign_base_group": lambda: assign_base_group((1.5, 2.7), derive_parameters(64, 2, 10)),
+    "lex_rank": lambda: lex_rank((1.2, 2), 6),
+    "partition_from_groups": lambda: partition_from_groups(6, 2, [[(1, 2, 3)], [(4,)]]),
+}
+
+
+@pytest.mark.parametrize("case", list(ENTRY_POINTS))
+def test_entry_points_refuse_tuples_that_are_not_canonical(case):
     with pytest.raises(InvalidDimensions):
-        validate_dtuple((3, 1), 6)
-    with pytest.raises(InvalidDimensions):
-        validate_dtuple((1, 1), 6)
-    with pytest.raises(InvalidDimensions):
-        validate_dtuple((0, 2), 6)
-    with pytest.raises(InvalidDimensions):
-        validate_dtuple((2, 7), 6)
+        ENTRY_POINTS[case]()

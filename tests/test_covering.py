@@ -9,8 +9,8 @@ from ic_alloc.covering import count_below, suffix_tables
 
 
 def brute_covering(blocks, u):
-    universe = [x for lo, hi, _ in blocks for x in range(lo, hi + 1)]
-    required = [set(range(lo, hi + 1)) for lo, hi, req in blocks if req]
+    universe = [x for lo, hi in blocks for x in range(lo, hi + 1)]
+    required = [set(range(lo, hi + 1)) for lo, hi in blocks]
     out = []
     for c in combinations(universe, u):
         cs = set(c)
@@ -27,7 +27,7 @@ def block_layouts(draw):
     for _ in range(n_blocks):
         lo += draw(st.integers(0, 2))  # optional gap
         width = draw(st.integers(1, 4))
-        blocks.append((lo, lo + width - 1, draw(st.booleans())))
+        blocks.append((lo, lo + width - 1))
         lo += width
     return blocks
 
@@ -45,7 +45,7 @@ def test_count_and_order_match_bruteforce(blocks, u):
 @given(block_layouts(), st.integers(1, 5), st.data())
 def test_count_below_for_foreign_tuples(blocks, u, data):
     # t drawn from a wider universe, not necessarily inside the blocks
-    top = max(hi for _, hi, _ in blocks) + max(2, u)
+    top = max(hi for _, hi in blocks) + max(2, u)
     t = tuple(sorted(data.draw(
         st.sets(st.integers(1, top), min_size=u, max_size=u)
     )))

@@ -5,10 +5,17 @@ from itertools import combinations
 import pytest
 
 from ic_alloc.combinatorics import binomial, enumerate_lex, lex_unrank
-from ic_alloc.counting import block_bounds
+from ic_alloc.counting import (
+    beta_range_excluded,
+    beta_range_interior,
+    block_bounds,
+    card_R_beta_I,
+    t_beta,
+)
 from ic_alloc.design import (
     DIVISIBLE,
     NONDIVISIBLE,
+    Router,
     _derive,
     _eligible_groups,
     _prime_partition,
@@ -191,10 +198,30 @@ def _reference_prime_partition(n, d, k):
     return tuple(tuple(sorted(groups[sigma])) for sigma in labels)
 
 
+def _check_class_sizes_against_closed_forms(n, d, k):
+    """The router's class sizes come from the covering DP; each non-empty
+    class must have the paper's count, t_beta without the tail and
+    card_R_beta_I with it, and the non-empty classes must be exactly
+    those the paper's beta ranges admit."""
+    params = _derive(n, d, binomial(k, d))
+    rt = Router(params)
+    list(rt.classes_within(range(1, k + 1)))  # builds every non-empty class
+    s, f, g = params.family_size, params.f, params.g
+    for (I, exc), cls in rt._classes.items():
+        beta = len(I)
+        expected = card_R_beta_I(s, f, g, d, beta) if exc else t_beta(s, f, d, beta)
+        assert cls.size == expected, (n, d, k, I, exc)
+    admitted = sum(binomial(k, beta) for beta in beta_range_interior(s, d))
+    if params.case == NONDIVISIBLE:
+        admitted += sum(binomial(k, beta) for beta in beta_range_excluded(s, g, d))
+    assert len(rt._classes) == admitted, (n, d, k)
+
+
 def test_prime_partition_matches_per_tuple_classification():
     """Every supported (n, d, N) with d <= 4, N <= 40 and n up to 45, 60,
     36 and 24 for d = 1..4: 5,209 points, 959 distinct (n, d, k), since N
-    reaches the construction only through k.  Budget: about 3 s."""
+    reaches the construction only through k.  At each, the router's class
+    sizes also match the closed forms.  Budget: about 3 s."""
     seen, kinds = set(), set()
     for d, n_max in ((1, 45), (2, 60), (3, 36), (4, 24)):
         for n in range(d, n_max + 1):
@@ -209,6 +236,7 @@ def test_prime_partition_matches_per_tuple_classification():
                     seen.add((n, d, params.k))
                     expected = _reference_prime_partition(n, d, params.k)
                     assert _prime_partition(n, d, params.k) == expected, (n, d, N)
+                    _check_class_sizes_against_closed_forms(n, d, params.k)
     assert len(seen) == 959
     assert {DIVISIBLE, NONDIVISIBLE, (True, "N=1"), (True, "d=1"), (True, "k capped"),
             (True, "0 < g < d")} <= kinds

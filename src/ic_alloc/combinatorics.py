@@ -53,13 +53,6 @@ def enumerate_lex(n: int, d: int) -> Iterator[DTuple]:
     return combinations(range(1, n + 1), d)
 
 
-def _range_sum(n: int, a: int, b: int, u: int) -> int:
-    # sum_{v=a}^{b} C(n - v, u), empty when a > b
-    if a > b:
-        return 0
-    return comb(n - a + 1, u + 1) - comb(n - b, u + 1)
-
-
 def lex_rank(t, n: int) -> int:
     """1-based position of d-tuple t in the lexicographic enumeration of
     d-subsets of [1, n]."""
@@ -73,7 +66,8 @@ def _rank(t: DTuple, n: int) -> int:
     smaller = 0
     prev = 0
     for j, tj in enumerate(t):
-        smaller += _range_sum(n, prev + 1, tj - 1, d - j - 1)
+        # sum over v in (prev, tj) of C(n - v, d - j - 1); 0 when tj = prev + 1
+        smaller += comb(n - prev, d - j) - comb(n - tj + 1, d - j)
         prev = tj
     return smaller + 1
 

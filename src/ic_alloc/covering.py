@@ -13,13 +13,17 @@ Two families in the partition construction reduce to this shape:
 
 All counts are exact integers; "below" refers to the lexicographic
 order of the subsets as sorted tuples.
+
+count_below adds, per element, the completions of the smaller candidates;
+per block shape and count left these form a prefix table, shared by the
+layouts holding that shape, so a range of candidates is one subtraction.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import comb
-
-from .combinatorics import _range_sum
+from operator import add
 
 Block = tuple[int, int]  # (lo, hi), inclusive bounds
 
@@ -40,53 +44,68 @@ def ways_by_count(widths: list[int], u: int) -> list[int]:
     return ways
 
 
-def suffix_tables(blocks: list[Block], u: int) -> list[list[int]]:
-    """For each block, ways_by_count(..., u) over the blocks after it.  Its
-    prefixes serve every smaller u, and it depends only on the layout, so
-    callers ranking many tuples in one universe build it once."""
-    widths = [hi - lo + 1 for lo, hi in blocks]
-    return [ways_by_count(widths[bi + 1 :], u) for bi in range(len(blocks))]
+class PrefixTables(dict):
+    """u -> the prefix table of one block shape, built on first use.  The
+    block has width widths[0] and the blocks after it widths[1:]; entry m
+    sums, over o < m, the u-subsets of the block's top o elements plus the
+    later blocks that take at least one element from every later block:
+    sum over x of ways[x] * C(m, u - x + 1), by the hockey-stick identity."""
+
+    def __init__(self, widths: tuple[int, ...]):
+        self.widths = widths
+
+    def __missing__(self, u: int) -> list[int]:
+        ways = ways_by_count(list(self.widths[1:]), u)
+        m = range(self.widths[0] + 1)
+        table = [0] * len(m)
+        for x, w in enumerate(ways):
+            if w:
+                table = list(map(add, table, map(w.__mul__, map(comb, m, repeat(u - x + 1)))))
+        self[u] = table
+        return table
+
+
+def prefix_tables(blocks: list[Block], shapes: dict) -> list[PrefixTables]:
+    """Per block, the tables of its shape, shared through `shapes`."""
+    widths = tuple(hi - lo + 1 for lo, hi in blocks)
+    out = []
+    for bi in range(len(widths)):
+        shape = widths[bi:]
+        if shape not in shapes:
+            shapes[shape] = PrefixTables(shape)
+        out.append(shapes[shape])
+    return out
 
 
 def count_below(
-    t: tuple[int, ...], blocks: list[Block], d: int, suffix: list[list[int]]
+    t: tuple[int, ...], blocks: list[Block], d: int, tables: list[PrefixTables]
 ) -> int:
     """Number of covering d-subsets lexicographically smaller than t.
 
     t itself need not belong to the universe; the walk stops as soon as a
-    prefix of t leaves it.  Cost is polynomial in d and the number of
-    blocks and independent of the block widths, so it stays cheap even
-    when the blocks span millions of integers.  suffix is
-    suffix_tables(blocks, d - 1).
+    prefix of t leaves it.  tables is prefix_tables(blocks, shapes).  A
+    call costs O(d * number of blocks) lookups; the first call that needs
+    a shape's table for some count builds it, width + 1 entries.
     """
-    nb = len(blocks)
-    total = 0
-    prev = 0
-    last = -1  # block of the previous element; every block up to it is hit
-    for pos, tj in enumerate(t[:d]):
-        u = d - pos - 1
-        # blocks before `last` lie wholly below prev and offer no candidate
-        bi = max(last, 0)
+    total = prev = 0
+    bi, nb, hit = 0, len(blocks), False  # hit: an earlier element lies in block bi
+    for u, tj in zip(range(d - 1, -1, -1), t):
         while True:
-            if bi == nb:
-                return total
             lo, hi = blocks[bi]
             if lo > tj:
                 return total  # tj falls in a gap
-            va = max(prev + 1, lo)
-            vb = min(tj - 1, hi)
+            va = prev + 1 if prev >= lo else lo
+            vb = tj - 1 if tj <= hi else hi
             if va <= vb:
-                # a candidate v in this block satisfies the block's own
-                # requirement; completions draw u elements from the part of
-                # this block above v plus all later blocks
-                for x, wx in enumerate(suffix[bi][: u + 1]):
-                    if wx:
-                        total += wx * _range_sum(hi, va, vb, u - x)
-            if hi >= tj:
+                # a candidate v covers its own block; its completions draw u
+                # elements from the hi - v above it here and the later blocks
+                table = tables[bi][u]
+                total += table[hi - va + 1] - table[hi - vb]
+            if tj <= hi:
                 break  # tj lies in this block
-            if bi > last:
-                return total  # a block left behind can never be covered
+            if not hit or bi == nb - 1:
+                return total  # a block left behind, or tj above them all
             bi += 1
-        last = bi
-        prev = tj
+            hit = False
+        hit, prev = True, tj
     return total

@@ -36,7 +36,7 @@ from typing import Iterator, NamedTuple
 
 from .combinatorics import DTuple, binomial, validate_dtuple
 from .counting import block_bounds, block_index
-from .covering import Block, count_below, suffix_tables, ways_by_count
+from .covering import Block, PrefixTables, count_below, prefix_tables, ways_by_count
 from .errors import (
     DimensionMismatch,
     InstanceTooLarge,
@@ -314,12 +314,12 @@ def pre_extension_sizes(base: Partition) -> list[int]:
 
 class _SupportClass(NamedTuple):
     """The tuples with support I (touching the excluded tail or not): their
-    block universe with its count_below suffix tables, their number, and the
+    block universe with its count_below prefix tables, their number, and the
     labels they are dealt to in lexicographic order, each label taking a
     near-equal contiguous range of the class's lexicographic ranks."""
 
     blocks: list[Block]
-    suffix: list[list[int]]
+    tables: list[PrefixTables]
     size: int
     eligible: list[tuple[int, ...]]
 
@@ -334,9 +334,10 @@ class Router:
     reads its description of the support classes too.
 
     Everything in it depends only on (n, d, N): the label ranks up front,
-    and, built on first use, each non-empty support class and each split
+    and, built on first use, each non-empty support class, the count_below
+    prefix tables of each block shape (shared by the classes) and each split
     label's cut tuples, the first member of every slice after the first.
-    Its memory is O(classes + split labels), never O(C(n, d)).
+    Its memory is O(classes + split labels + d^2 (s + g)), never O(C(n, d)).
     """
 
     def __init__(self, params: ICParameters):
@@ -344,6 +345,7 @@ class Router:
         self.labels = list(combinations(range(1, params.f + 1), params.d))
         self.label_rank = {sigma: b0 for b0, sigma in enumerate(self.labels, start=1)}
         self._classes: dict[tuple[tuple[int, ...], bool], _SupportClass] = {}
+        self._shapes: dict[tuple[int, ...], PrefixTables] = {}
         self._cuts: dict[int, list[DTuple]] = {}
 
     def support_class(self, I: tuple[int, ...], exc: bool) -> _SupportClass | None:
@@ -362,7 +364,7 @@ class Router:
             # the label tuples themselves, not equal copies
             eligible = [self.labels[self.label_rank[s] - 1] for s in _eligible_groups(I, p.f, p.d)]
             cls = self._classes[I, exc] = _SupportClass(
-                blocks, suffix_tables(blocks, p.d - 1), count, eligible
+                blocks, prefix_tables(blocks, self._shapes), count, eligible
             )
         return cls
 
@@ -391,7 +393,7 @@ class Router:
         if not exc and len(I) == p.d:
             return I
         cls = self.support_class(I, exc)
-        rho = count_below(t, cls.blocks, p.d, cls.suffix) + 1
+        rho = count_below(t, cls.blocks, p.d, cls.tables) + 1
         return cls.eligible[block_index(cls.size, len(cls.eligible), rho) - 1]
 
     def route(self, t: DTuple) -> int:
@@ -424,7 +426,7 @@ class Router:
         d = self.params.d
         below = 0
         for cls, start, end in pieces:
-            r_class = count_below(t, cls.blocks, d, cls.suffix)
+            r_class = count_below(t, cls.blocks, d, cls.tables)
             below += min(max(r_class, start - 1), end) - (start - 1)
         return below + 1
 

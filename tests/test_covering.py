@@ -5,7 +5,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ic_alloc.covering import count_below, suffix_tables
+from ic_alloc.covering import count_below, prefix_tables
 
 
 def brute_covering(blocks, u):
@@ -36,9 +36,9 @@ def block_layouts(draw):
 @given(block_layouts(), st.integers(1, 6))
 def test_count_and_order_match_bruteforce(blocks, u):
     expected = brute_covering(blocks, u)
-    suffix = suffix_tables(blocks, u - 1)
+    tables = prefix_tables(blocks, {})
     for i, t in enumerate(expected, start=1):
-        assert count_below(t, blocks, u, suffix) == i - 1
+        assert count_below(t, blocks, u, tables) == i - 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -50,4 +50,4 @@ def test_count_below_for_foreign_tuples(blocks, u, data):
         st.sets(st.integers(1, top), min_size=u, max_size=u)
     )))
     expected = sum(1 for c in brute_covering(blocks, u) if c < t)
-    assert count_below(t, blocks, u, suffix_tables(blocks, u - 1)) == expected
+    assert count_below(t, blocks, u, prefix_tables(blocks, {})) == expected

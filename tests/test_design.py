@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -12,6 +13,7 @@ from ic_alloc.counting import (
     card_R_beta_I,
     t_beta,
 )
+from ic_alloc.covering import PrefixTables, count_below
 from ic_alloc.design import (
     DIVISIBLE,
     NONDIVISIBLE,
@@ -379,6 +381,112 @@ def test_router_invariants_beyond_materialization_cap(N, case):
         cut = rt._label_cuts(sigma, params.p)[0]
         assert rt.position(cut, pieces) == first
         assert rt.route(cut) == b0 + params.N_prime
+
+
+def _extreme_members(blocks, d):
+    """The lexicographically smallest and largest d-tuples taking at least
+    one element from each block: the smallest gives each block, in order,
+    as many of its lowest elements as the later blocks allow; the largest
+    gives each block as few of its highest elements as the later blocks'
+    room allows."""
+    widths = [hi - lo + 1 for lo, hi in blocks]
+    low, high, left_low, left_high = (), (), d, d
+    for bi, (lo, hi) in enumerate(blocks):
+        later = widths[bi + 1 :]
+        c = min(widths[bi], left_low - len(later))
+        low += tuple(range(lo, lo + c))
+        left_low -= c
+        c = max(1, left_high - sum(later))
+        high += tuple(range(hi - c + 1, hi + 1))
+        left_high -= c
+    return low, high
+
+
+@pytest.mark.parametrize("N,widths", [(200, {43, 127}), (120, {60})])
+def test_class_extremes_rank_first_and_last_beyond_materialization_cap(N, widths):
+    """n=600, d=3: for every non-empty support class, count_below puts the
+    class's smallest member at rank 0 and its largest at size - 1.  The
+    members come from the blocks alone, so the prefix tables of every block
+    shape (family width 43 and tail width 127 at N=200, family width 60 at
+    N=120) are checked at both ends without materializing any class."""
+    n, d = 600, 3
+    params = derive_parameters(n, d, N)
+    rt = Router(params)
+    seen = set()
+    for cls in rt.classes_within(range(1, params.f + 1)):
+        low, high = _extreme_members(cls.blocks, d)
+        assert count_below(low, cls.blocks, d, cls.tables) == 0, cls.blocks
+        assert count_below(high, cls.blocks, d, cls.tables) == cls.size - 1, cls.blocks
+        seen |= {hi - lo + 1 for lo, hi in cls.blocks}
+    assert seen == widths
+
+
+def _stream_tuples(count, seed, n=600, d=3, window=86):
+    # alternately uniform over [n] and local to a window two families wide
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        if i % 2:
+            lo = rng.randint(1, n - window + 1)
+            pool = range(lo, lo + window)
+        else:
+            pool = range(1, n + 1)
+        out.append(tuple(sorted(rng.sample(pool, d))))
+    return out
+
+
+def _count_table_builds(monkeypatch) -> list:
+    built = []
+    missing = PrefixTables.__missing__
+
+    def counting(self, u):
+        built.append((self.widths, u))
+        return missing(self, u)
+
+    monkeypatch.setattr(PrefixTables, "__missing__", counting)
+    return built
+
+
+def test_materialized_build_builds_no_ranking_tables(monkeypatch):
+    """The build walks every support class but never ranks a tuple, so it
+    fills no prefix table; a fresh Router's first route does."""
+    built = _count_table_builds(monkeypatch)
+    params = derive_parameters(121, 3, 40)
+    _prime_partition.cache_clear()
+    build_base_partition(params)
+    assert built == []
+    Router(params).route((1, 2, 121))  # one family plus the tail: ranked
+    assert built
+
+
+def test_router_tables_are_shared_by_shape(monkeypatch):
+    """Routing 20,000 stream tuples at n=600, d=3, N=200 builds at most one
+    table per (block shape, elements left): 2 (d + 1) d, whatever the
+    number of classes routed through."""
+    built = _count_table_builds(monkeypatch)
+    params = derive_parameters(600, 3, 200)
+    rt = Router(params)
+    for t in _stream_tuples(20_000, seed=17):
+        rt.route(t)
+    assert len(rt._classes) > 100
+    assert 0 < len(built) == len(set(built)) <= 2 * (params.d + 1) * params.d
+
+
+def test_router_memory_after_routing_stream_tuples():
+    """A fresh Router at n=600, d=3, N=200, with everything that routing
+    20,000 stream tuples builds in it, peaks at no more than 0.196 MB
+    traced."""
+    params = derive_parameters(600, 3, 200)
+    tuples = _stream_tuples(20_000, seed=23)
+    tracemalloc.start()
+    try:
+        rt = Router(params)
+        for t in tuples:
+            rt.route(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.196e6
 
 
 def test_assign_rejects_wrong_arity():

@@ -200,6 +200,53 @@ def test_simulate(capsys):
     assert len(doc["rounds"]) == 3
 
 
+# sha256 goldens of the simulate stdout, a sweep CSV and the --help text,
+# taken before CostReport, SimulationResult and emit_sweep_csv rendered from
+# their records' fields and before the CLI shared its --n/--d/--workers
+# declarations; each must stay byte-identical.
+
+
+def test_simulate_stdout_golden(capsys):
+    code, out, _ = run(
+        capsys, "simulate", "--n", "20", "--d", "2", "--workers", "3",
+        "--rounds", "3", "--phi-list", "0.3,0.6,1.0", "--seed", "5",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "afcd5e02ca6c7e21fcba5575fd4367749ad39abdf0f6175a2532eefeb1414b5d"
+    )
+
+
+def test_sweep_csv_golden(tmp_path, capsys):
+    # phi < 1 and phi = 1 rows in both cases, and two unsupported points (N=6 at n=6)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(
+        {"n": [30, 6], "d": [2], "N": [5, 6], "phi": [0.5, 1.0], "seed": [3]}))
+    out_csv = tmp_path / "out.csv"
+    assert run(capsys, "sweep", "--grid", str(grid), "--out", str(out_csv))[0] == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+        "e0ade7b429f4ea1f42189bba5213ff1a6657ab35e45833eaa8742acb1e0f943f"
+    )
+
+
+HELP_GOLDENS = {
+    "partition": "717c3ad800f403fdb6d797e827a1df279880485ae3b51caced0bfa0dece46f77",
+    "thin": "a72467ebaf60db184599e1177160582b1271eaa2ce160a648a20a12a6cdfec14",
+    "montecarlo": "f0b3e07d4d96d52dacf21e7fb8c22e7b9083f90af1f1ace2d284d9ba8e9becc9",
+    "simulate": "411f521b36e85dde0333bcd5c9ccb3ba4fa18ceec79c2681c5e627f55ac3b542",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_GOLDENS))
+def test_help_text_golden(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_GOLDENS[command], out
+
+
 def test_unsupported_parameters_exit_code(capsys):
     code, _, err = run(capsys, "partition", "--n", "6", "--d", "2", "--workers", "6")
     assert code == 1

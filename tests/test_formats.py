@@ -1,7 +1,7 @@
 import hashlib
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -16,7 +16,7 @@ from ic_alloc.formats import (
     parse_partition,
     parse_tasks,
 )
-from ic_alloc.harness import sweep
+from ic_alloc.harness import SweepRecord, sweep
 from ic_alloc.metrics import full_report
 from ic_alloc.tasks import TaskSet
 
@@ -240,6 +240,12 @@ def test_csv_header_is_frozen():
         "n", "d", "N", "phi", "seed", "case", "k", "s", "g",
         "pi", "pi_lb", "gap", "delta", "delta_X", "arf", "bounds_ok",
     ]
+
+
+def test_sweep_record_fields_follow_the_csv_columns():
+    # emit_sweep_csv writes a record's fields in declaration order
+    names = [f.name for f in fields(SweepRecord)][: len(SWEEP_COLUMNS)]
+    assert names == [c.replace("delta_X", "delta_x") for c in SWEEP_COLUMNS]
 
 
 def test_csv_rows_include_skips():

@@ -23,7 +23,6 @@ a value below 2**64 between steps, so no lane spills into its neighbour:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain, compress
 
@@ -134,9 +133,3 @@ def random_partition(tasks: TaskSet, N: int, seed: int) -> Partition:
         tuple(tuple(g) for g in groups),
         {"baseline": "random", "seed": seed, "generator_id": GENERATOR_ID},
     )
-
-
-def expected_thinned_size(n: int, d: int, phi: float) -> tuple[float, float]:
-    """Mean and standard deviation of |X| under thinning."""
-    m = binomial(n, d)
-    return m * phi, math.sqrt(m * phi * (1.0 - phi))

@@ -25,7 +25,7 @@ from .formats import (
 )
 from .harness import grid_points, monte_carlo_delta, simulate_rounds, sweep
 from .metrics import full_report
-from .oracle import brute_force_pi_star
+from .oracle import DEFAULT_EDGE_CAP, brute_force_pi_star
 from .tasks import TaskSet
 from .verify import run_invariant_checks
 
@@ -159,18 +159,20 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the instance arguments, declared once; a parent's arguments come first
+    nd = argparse.ArgumentParser(add_help=False)
+    nd.add_argument("--n", type=int, required=True)
+    nd.add_argument("--d", type=int, required=True)
+    ndw = argparse.ArgumentParser(add_help=False, parents=[nd])
+    ndw.add_argument("--workers", type=int, required=True)
 
-    p = sub.add_parser("partition", help="build a partition (optionally refined by a task file)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--workers", type=int, required=True)
+    p = sub.add_parser("partition", parents=[ndw],
+                       help="build a partition (optionally refined by a task file)")
     p.add_argument("--tasks", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("thin", help="sample a task set by random thinning")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p = sub.add_parser("thin", parents=[nd], help="sample a task set by random thinning")
     p.add_argument("--phi", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=None)
@@ -187,14 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bruteforce", help="exact optimal communication cost at tiny scale")
     p.add_argument("--tasks", required=True)
+    # its own --workers, not ndw's, so that the usage line keeps it after --tasks
     p.add_argument("--workers", type=int, required=True)
-    p.add_argument("--edge-cap", type=int, default=16)
+    p.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_CAP)
     p.set_defaults(func=cmd_bruteforce)
 
-    p = sub.add_parser("montecarlo", help="seeded trials of the balance guarantee")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--workers", type=int, required=True)
+    p = sub.add_parser("montecarlo", parents=[ndw], help="seeded trials of the balance guarantee")
     p.add_argument("--phi", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -205,10 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("simulate", help="multi-round blind allocation with a fixed placement")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--workers", type=int, required=True)
+    p = sub.add_parser("simulate", parents=[ndw],
+                       help="multi-round blind allocation with a fixed placement")
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--phi-list", required=True, help="comma-separated phi per round (cycled)")
     p.add_argument("--seed", type=int, required=True)

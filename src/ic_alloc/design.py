@@ -30,7 +30,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product, starmap
+from itertools import chain, combinations, product, starmap
 from operator import add
 from typing import Iterator, NamedTuple
 
@@ -150,27 +150,22 @@ def _derive(n: int, d: int, N: int) -> ICParameters:
     k = d
     while k + 1 <= n and binomial(k + 1, d) <= N:
         k += 1
-    k_capped = k == n and binomial(n + 1, d) <= N
-    f = k
+    if n % k == 0:
+        case, s, s0, g = DIVISIBLE, n // k, None, 0
+    else:
+        s0 = n // (k + d) + 1
+        if s0 > n // k:
+            raise UnsupportedParameters(
+                f"k={k} admits no valid family size for n={n}, d={d}: "
+                f"s0={s0} exceeds floor(n/k)={n // k}"
+            )
+        case, s, g = NONDIVISIBLE, None, n - k * s0
     N_prime = binomial(k, d)
     q, r = divmod(N, N_prime)
-    p = q if r == 0 else q + 1
-    if n % k == 0:
-        s = n // k
-        return ICParameters(
-            n=n, d=d, N=N, k=k, f=f, case=DIVISIBLE, s=s, s0=None, g=0,
-            n_prime=n, N_prime=N_prime, q=q, p=p, r=r, k_capped=k_capped,
-        )
-    s0 = n // (k + d) + 1
-    if s0 > n // k:
-        raise UnsupportedParameters(
-            f"k={k} admits no valid family size for n={n}, d={d}: "
-            f"s0={s0} exceeds floor(n/k)={n // k}"
-        )
-    g = n - k * s0
     return ICParameters(
-        n=n, d=d, N=N, k=k, f=f, case=NONDIVISIBLE, s=None, s0=s0, g=g,
-        n_prime=n - g, N_prime=N_prime, q=q, p=p, r=r, k_capped=k_capped,
+        n=n, d=d, N=N, k=k, f=k, case=case, s=s, s0=s0, g=g, n_prime=n - g,
+        N_prime=N_prime, q=q, p=q if r == 0 else q + 1, r=r,
+        k_capped=k == n and binomial(n + 1, d) <= N,
     )
 
 
@@ -289,22 +284,12 @@ def build_base_partition(params: ICParameters) -> Partition:
 
 def footprint(group) -> tuple[int, ...]:
     """The distinct files a group of tuples touches, ascending."""
-    return tuple(sorted({x for t in group for x in t}))
+    return tuple(sorted(set(chain.from_iterable(group))))
 
 
 def _within_placement(p: Partition) -> bool:
     """Whether every group touches only files of its own placement entry."""
     return all(set(held).issuperset(footprint(g)) for g, held in zip(p.groups, p.placement))
-
-
-def pre_extension_sizes(base: Partition) -> list[int]:
-    """Sizes of the N' groups before the N-way relabelling, reconstructed
-    by summing each group's slices."""
-    N_prime = base.params.N_prime
-    sizes = [0] * N_prime
-    for b, g in enumerate(base.groups):
-        sizes[b % N_prime] += len(g)
-    return sizes
 
 
 # ---------------------------------------------------------------------------

@@ -213,9 +213,7 @@ def emit_sweep_csv(records: list[SweepRecord]) -> str:
     identifying columns and leave the metrics empty."""
     lines = [",".join(SWEEP_COLUMNS)]
     for r in records:
-        row = [
-            r.n, r.d, r.N, r.phi, r.seed, r.case, r.k, r.s, r.g,
-            r.pi, r.pi_lb, r.gap, r.delta, r.delta_x, r.arf, r.bounds_ok,
-        ]
-        lines.append(",".join(_csv_cell(v) for v in row))
+        # a record's fields start with the columns, in their order
+        row = list(r.__dict__.values())[: len(SWEEP_COLUMNS)]
+        lines.append(",".join(map(_csv_cell, row)))
     return "\n".join(lines) + "\n"

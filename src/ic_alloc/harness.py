@@ -2,9 +2,9 @@
 balance guarantee, parameter sweeps for bound-vs-achieved tables, and the
 multi-round blind-allocation simulation.
 
-Per-trial seeds derive from the master seed via the splitmix64 mix of
-(master_seed + trial_index * GOLDEN), so trials may run in any order or in
-parallel with identical results.
+Trial i (from 0) thins with the seed tuple_draw(master_seed, i + 1), the
+splitmix64 draw the thinning generator makes for rank i + 1, so trials may
+run in any order or in parallel with identical results.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
-from .baselines import _GOLDEN, ThinningSpec, mix64, thin
+from .baselines import ThinningSpec, thin, tuple_draw
 from .counting import PhiMinResult, phi_min, pi_lower_bound
 from .design import _within_placement, build_base_partition, derive_parameters, refine
 from .errors import DegenerateDenominator, ICAllocError, InvalidArgument, SchemaError
@@ -22,7 +22,7 @@ from .metrics import CostReport, delta_of, full_report
 
 def trial_seed(master_seed: int, index: int) -> int:
     """Deterministic, platform-independent per-trial seed."""
-    return mix64(master_seed + (index + 1) * _GOLDEN)
+    return tuple_draw(master_seed, index + 1)
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,8 @@ def monte_carlo_delta(
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One sweep row; matches the CSV column contract."""
+    """One sweep row.  Its fields up to bounds_ok are the CSV columns, in
+    column order (delta_x is the column delta_X)."""
 
     n: int
     d: int
@@ -182,13 +183,10 @@ class SimulationResult:
         return "PASS" if self.placement_identical and self.feasible else "FAIL"
 
     def as_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "placement_identical": self.placement_identical,
-            "feasible": self.feasible,
-            "placement_pi": self.placement_pi,
-            "rounds": [r.as_dict() for r in self.reports],
-        }
+        # the verdict first, then the fields, the reports moved last as "rounds"
+        out = {"verdict": self.verdict, **self.__dict__}
+        out["rounds"] = [r.as_dict() for r in out.pop("reports")]
+        return out
 
 
 def simulate_rounds(

@@ -82,22 +82,10 @@ class CostReport:
         return all(b.satisfied for b in self.bounds if b.applicable)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "N": self.N,
-            "case": self.case,
-            "phi": self.phi,
-            "task_count": self.task_count,
-            "pi": self.pi,
-            "delta": self.delta,
-            "arf": self.arf,
-            "pi_lb": self.pi_lb,
-            "pi_lb_int": self.pi_lb_int,
-            "gap": self.gap,
-            "bounds_ok": self.bounds_ok,
-            "bounds": [b.as_dict() for b in self.bounds],
-        }
+        # the fields in declaration order, the bounds moved after bounds_ok
+        out = {**self.__dict__, "bounds_ok": self.bounds_ok}
+        out["bounds"] = [b.as_dict() for b in out.pop("bounds")]
+        return out
 
 
 def guarantee_regime(params: ICParameters) -> bool:

@@ -38,21 +38,14 @@ class TaskSet:
         return len(self.edges)
 
     @staticmethod
-    def from_edges(
-        n: int,
-        d: int,
-        edges: Iterable[Iterable[int]],
-        phi: float | None = None,
-        seed: int | None = None,
-        generator_id: str | None = None,
-    ) -> "TaskSet":
+    def from_edges(n: int, d: int, edges: Iterable[Iterable[int]]) -> "TaskSet":
         """Canonicalize arbitrary edge input: validate every edge as a
         strictly increasing d-tuple over [1, n], sort, reject dupes."""
         canon = sorted(validate_dtuple(e, n, d) for e in edges)
         for a, b in zip(canon, canon[1:]):
             if a == b:
                 raise DuplicateEdge(f"edge {a} listed twice")
-        return TaskSet(n, d, tuple(canon), phi=phi, seed=seed, generator_id=generator_id)
+        return TaskSet(n, d, tuple(canon))
 
     @staticmethod
     def full(n: int, d: int) -> "TaskSet":

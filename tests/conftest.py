@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import pytest
 
 from ic_alloc.combinatorics import binomial
-from ic_alloc.design import build_base_partition, derive_parameters, pre_extension_sizes
+from ic_alloc.design import build_base_partition, derive_parameters
 from ic_alloc.errors import UnsupportedParameters
 from ic_alloc.oracle import support_class_counts
 
@@ -48,9 +48,10 @@ def _evaluate(n: int, d: int, N: int) -> GridPoint | None:
 
     pi = max(len(f) for f in base.placement)
     slack = (2**d - d) if params.case == "divisible" else (2 ** (d + 1) - 2 * d)
+    N_prime = params.N_prime  # group b's slices are groups b, b + N', b + 2N', ...
     size_bound_ok = all(
-        abs(sz * params.N_prime - cnd) <= slack * params.N_prime
-        for sz in pre_extension_sizes(base)
+        abs(sum(map(len, base.groups[b::N_prime])) * N_prime - cnd) <= slack * N_prime
+        for b in range(N_prime)
     )
     arf = sum(len(f) for f in base.placement) / n
     return GridPoint(

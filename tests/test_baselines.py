@@ -1,4 +1,5 @@
 import hashlib
+import math
 import statistics
 
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from ic_alloc.baselines import (
     GENERATOR_ID,
     ThinningSpec,
-    expected_thinned_size,
     lex_partition,
     mix64,
     random_partition,
@@ -71,7 +71,8 @@ def test_thin_deterministic_and_metadata():
 
 
 def test_thin_size_within_four_sigma():
-    mean, sd = expected_thinned_size(200, 2, 0.5)
+    m = binomial(200, 2)  # |X| is binomial(m, phi)
+    mean, sd = m * 0.5, math.sqrt(m * 0.5 * 0.5)
     assert mean == 9950.0
     size = len(thin(200, 2, ThinningSpec(phi=0.5, seed=42)))
     assert abs(size - mean) <= 4 * sd
@@ -130,7 +131,7 @@ def test_thin_golden_digest():
 
 
 def test_thin_mean_concentrates_over_seeds():
-    mean, _ = expected_thinned_size(200, 2, 0.5)
+    mean = binomial(200, 2) * 0.5
     sizes = [len(thin(200, 2, ThinningSpec(phi=0.5, seed=s))) for s in range(100)]
     assert abs(statistics.fmean(sizes) - mean) / mean <= 0.01
 

@@ -28,7 +28,6 @@ from ic_alloc.design import (
     derive_parameters,
     eligible_placement,
     partition_from_groups,
-    pre_extension_sizes,
     refine,
     router,
     support_of,
@@ -302,8 +301,8 @@ def test_pre_extension_size_bounds(n, d, N):
     base = build_base_partition(params)
     cnd = binomial(n, d)
     slack = (2**d - d) if params.case == DIVISIBLE else (2 ** (d + 1) - 2 * d)
-    sizes = pre_extension_sizes(base)
-    assert len(sizes) == params.N_prime
+    # the N' groups before extension: group b's slices are b, b + N', b + 2N', ...
+    sizes = [sum(map(len, base.groups[b::params.N_prime])) for b in range(params.N_prime)]
     assert sum(sizes) == cnd
     for sz in sizes:
         assert abs(sz * params.N_prime - cnd) <= slack * params.N_prime

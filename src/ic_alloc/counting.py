@@ -1,6 +1,6 @@
-"""Closed-form cardinalities used by the partition construction, the block
-allocation arithmetic, the density threshold, and the communication-cost
-lower bound.
+"""The paper's closed-form cardinalities of the support classes (public
+API, which the construction does not read), the block allocation
+arithmetic, the density threshold, and the communication-cost lower bound.
 
 Conventions: f families of equal size (s in the divisible case, s0
 otherwise) tile the leading file indices; g excluded files sit above them.

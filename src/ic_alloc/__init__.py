@@ -27,11 +27,10 @@ from .design import (
     derive_parameters,
     partition_from_groups,
     refine,
-    support_of,
 )
 from .harness import monte_carlo_delta, simulate_rounds, sweep
 from .metrics import CostReport, arf_of, delta_of, full_report, pi_of
-from .oracle import brute_force_pi_star, support_class_counts
+from .oracle import brute_force_pi_star
 from .tasks import TaskSet
 
 __version__ = "0.1.0"
@@ -68,8 +67,6 @@ __all__ = [
     "random_partition",
     "refine",
     "simulate_rounds",
-    "support_class_counts",
-    "support_of",
     "sweep",
     "t_beta",
     "thin",

@@ -233,8 +233,6 @@ def _prime_partition(n: int, d: int, k: int) -> tuple[tuple[DTuple, ...], ...]:
     same k shares it.
     """
     params = _derive(n, d, binomial(k, d))
-    if params.k != k:  # only reachable through inconsistent internal calls
-        raise UnsupportedParameters(f"no N maps to k={k} for n={n}, d={d}")
     rt = Router(params)
     groups: dict[tuple[int, ...], list[DTuple]] = {sigma: [] for sigma in rt.labels}
     for cls in rt.classes_within(range(1, k + 1)):
@@ -509,13 +507,11 @@ def assign_tasks(params: ICParameters, tasks: TaskSet) -> Partition:
     )
 
 
-def partition_from_groups(
-    n: int, d: int, groups, metadata: dict | None = None
-) -> Partition:
+def partition_from_groups(n: int, d: int, groups) -> Partition:
     """Wrap explicit groups (e.g. a hand-written partition) with their own
     footprints as placement.  Every tuple is validated."""
     return _own_placement(
-        n, d, tuple(tuple(validate_dtuple(t, n, d) for t in g) for g in groups), metadata
+        n, d, tuple(tuple(validate_dtuple(t, n, d) for t in g) for g in groups), None
     )
 
 

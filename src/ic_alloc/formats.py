@@ -3,7 +3,7 @@
 Task sets are plain text: a header line "n d m", then m edge lines of d
 space-separated ascending file indices.  '#' starts a comment; blank lines
 are ignored.  Metadata comments of the form "# key: value" are recognized
-for format_version, phi, seed, and generator.
+for format_version (which must be 1), phi, seed, and generator.
 
 Partitions are a single JSON document with keys format_version, n, d, N,
 case, params, groups, footprints, metadata.  Sweep output is CSV with a
@@ -28,7 +28,7 @@ SWEEP_COLUMNS = [
     "pi", "pi_lb", "gap", "delta", "delta_X", "arf", "bounds_ok",
 ]
 
-_TASK_META_TYPES = {"format_version": str, "phi": float, "seed": int, "generator": str}
+_TASK_META_TYPES = {"phi": float, "seed": int, "generator": str}
 
 
 def parse_tasks(text: str) -> TaskSet:
@@ -48,6 +48,8 @@ def parse_tasks(text: str) -> TaskSet:
             if ":" in comment:
                 key, _, value = comment.partition(":")
                 key, value = key.strip(), value.strip()
+                if key == "format_version" and value != str(FORMAT_VERSION):
+                    raise ParseError(f"unsupported format_version {value!r}", lineno)
                 if key in _TASK_META_TYPES:
                     try:
                         meta[key] = _TASK_META_TYPES[key](value)

@@ -9,12 +9,11 @@ run in any order or in parallel with identical results.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
 from .baselines import ThinningSpec, thin, tuple_draw
-from .counting import PhiMinResult, phi_min, pi_lower_bound
+from .counting import phi_min, pi_lower_bound
 from .design import _within_placement, build_base_partition, derive_parameters, refine
 from .errors import DegenerateDenominator, ICAllocError, InvalidArgument, SchemaError
 from .metrics import CostReport, delta_of, full_report
@@ -37,7 +36,7 @@ class MonteCarloSummary:
     min_delta: float
     mean_delta: float
     max_delta: float
-    phi_min: float
+    phi_min: float | None
     vacuous: bool
 
     def as_dict(self) -> dict:
@@ -57,8 +56,9 @@ def monte_carlo_delta(
         pm = phi_min(n, d, N)
     except DegenerateDenominator:
         # too few tuples per worker for the concentration argument: the
-        # guarantee is silent, but the trials are still worth reporting
-        pm = PhiMinResult(value=math.inf, vacuous=True)
+        # threshold is undefined and the guarantee silent, but the trials
+        # are still worth reporting
+        pm = None
     deltas: list[float] = []
     ok = 0
     for i in range(trials):
@@ -78,8 +78,8 @@ def monte_carlo_delta(
         min_delta=min(deltas),
         mean_delta=sum(deltas) / len(deltas),
         max_delta=max(deltas),
-        phi_min=pm.value,
-        vacuous=pm.vacuous,
+        phi_min=None if pm is None else pm.value,
+        vacuous=pm is None or pm.vacuous,
     )
 
 
@@ -109,17 +109,19 @@ class SweepRecord:
 
 def grid_points(axes: dict) -> list[tuple[int, int, int, float, int]]:
     """Cartesian product of the grid axes n, d, N, phi, seed.  n, d and N
-    are required; phi defaults to [1.0] and seed to [0]."""
+    are required; phi defaults to [1.0] and seed to [0].  Every axis but
+    phi takes JSON integers only."""
     if not isinstance(axes, dict) or not {"n", "d", "N"} <= axes.keys():
         raise SchemaError("a sweep grid must be a JSON object with the axes n, d and N")
     axes = {"phi": [1.0], "seed": [0], **axes}
     names = ("n", "d", "N", "phi", "seed")
     for name in names:
+        kinds, what = ((int, float), "numbers") if name == "phi" else ((int,), "integers")
         values = axes[name]
-        if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
-            raise SchemaError(f"sweep axis {name!r} must be a list of numbers, got {values!r}")
+        if not isinstance(values, list) or not all(type(v) in kinds for v in values):
+            raise SchemaError(f"sweep axis {name!r} must be a list of {what}, got {values!r}")
     return [
-        (int(n), int(d), int(N), float(phi), int(seed))
+        (n, d, N, float(phi), seed)
         for n, d, N, phi, seed in product(*(axes[a] for a in names))
     ]
 

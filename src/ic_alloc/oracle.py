@@ -1,10 +1,9 @@
 """Independent ground truth at tiny scale: exhaustive optimal
-communication cost via branch and bound, and a brute-force support
-classifier that validates the closed-form counting."""
+communication cost via branch and bound."""
 
 from __future__ import annotations
 
-from .combinatorics import DTuple, binomial, enumerate_lex
+from .combinatorics import DTuple, binomial
 from .counting import pi_lower_bound_int
 from .design import footprint
 from .errors import InstanceTooLarge, InvalidArgument
@@ -12,7 +11,6 @@ from .tasks import TaskSet
 
 DEFAULT_EDGE_CAP = 16
 DEFAULT_WORKER_CAP = 4
-SUPPORT_COUNT_CAP = 10**6
 
 
 def brute_force_pi_star(
@@ -28,6 +26,8 @@ def brute_force_pi_star(
     broken by allowing a new group only at the lowest unused index; the
     integer converse bound serves as the stopping floor.
     """
+    if N < 1:
+        raise InvalidArgument(f"need N >= 1, got {N}")
     if len(tasks.edges) > edge_cap:
         raise InstanceTooLarge(
             f"|X| = {len(tasks.edges)} exceeds edge cap {edge_cap}"
@@ -72,22 +72,3 @@ def brute_force_pi_star(
         witness[b].append(edges[i])
     return best, witness
 
-
-def support_class_counts(
-    n: int, d: int, s: int, g: int = 0
-) -> dict[tuple[bool, tuple[int, ...]], int]:
-    """Enumerate the complete d-uniform set over [n] and count its tuples
-    by (touches_tail, support): whether a tuple has an element in the
-    excluded tail (the top g files), and the 1-based indices of the
-    contiguous size-s families tiling [1, n - g] that it touches."""
-    n_prime = n - g
-    if n_prime % s != 0:
-        raise InvalidArgument(f"s={s} must divide n-g={n_prime}")
-    if binomial(n, d) > SUPPORT_COUNT_CAP:
-        raise InstanceTooLarge(f"C({n},{d}) exceeds cap {SUPPORT_COUNT_CAP}")
-    counts: dict[tuple[bool, tuple[int, ...]], int] = {}
-    for t in enumerate_lex(n, d):
-        support = tuple(sorted({(x - 1) // s + 1 for x in t if x <= n_prime}))
-        key = (t[-1] > n_prime, support)
-        counts[key] = counts.get(key, 0) + 1
-    return counts

@@ -1,17 +1,18 @@
-"""Shared fixtures: the full small-parameter grid, evaluated once."""
+"""Shared fixtures: the full small-parameter grid, evaluated once, and the
+per-tuple support classifier the counting and construction checks share."""
 
 from __future__ import annotations
 
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 
 import pytest
 
 from ic_alloc.combinatorics import binomial
 from ic_alloc.design import build_base_partition, derive_parameters
 from ic_alloc.errors import UnsupportedParameters
-from ic_alloc.oracle import support_class_counts
 
 GRID_N_MAX = 60
 GRID_D = (2, 3)
@@ -95,10 +96,26 @@ def acceptance_line(num: int, description: str, ok: bool) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {description}")
 
 
+def support_classes(
+    n: int, d: int, s: int, g: int = 0
+) -> dict[tuple[bool, tuple[int, ...]], list[tuple[int, ...]]]:
+    """Classify every d-tuple over [n], one at a time, by (touches_tail,
+    support): whether it has an element in the excluded tail (the top g
+    files), and the 1-based indices of the size-s families tiling
+    [1, n - g] that it touches.  Each class lists its tuples in
+    lexicographic order."""
+    n_prime = n - g
+    classes: dict[tuple[bool, tuple[int, ...]], list[tuple[int, ...]]] = {}
+    for t in combinations(range(1, n + 1), d):
+        support = tuple(sorted({(x - 1) // s + 1 for x in t if x <= n_prime}))
+        classes.setdefault((t[-1] > n_prime, support), []).append(t)
+    return classes
+
+
 def counts_by_beta(n: int, d: int, s: int) -> dict[int, int]:
-    """Brute-force tuple counts of the complete set over [n] by the number
-    beta of size-s families each tuple touches."""
+    """Tuple counts of the complete set over [n] by the number beta of
+    size-s families each tuple touches."""
     by_beta: Counter[int] = Counter()
-    for (_, support), count in support_class_counts(n, d, s).items():
-        by_beta[len(support)] += count
+    for (_, support), members in support_classes(n, d, s).items():
+        by_beta[len(support)] += len(members)
     return dict(by_beta)

@@ -5,7 +5,7 @@ import math
 import random
 import time
 
-from conftest import acceptance_line, counts_by_beta
+from conftest import acceptance_line, counts_by_beta, support_classes
 from ic_alloc.baselines import ThinningSpec
 from ic_alloc.combinatorics import binomial, enumerate_lex
 from ic_alloc.counting import (
@@ -24,7 +24,7 @@ from ic_alloc.design import (
 )
 from ic_alloc.harness import monte_carlo_delta, simulate_rounds
 from ic_alloc.metrics import TOL, arf_of, delta_of, pi_of
-from ic_alloc.oracle import brute_force_pi_star, support_class_counts
+from ic_alloc.oracle import brute_force_pi_star
 from ic_alloc.tasks import TaskSet
 
 # the large-n grid for the constant-factor guarantees, which need d <= n/32
@@ -144,10 +144,9 @@ def test_criterion_7_counting_identities():
                 ok = ok and by_beta.get(beta, 0) == card_C_beta(s, f, d, beta)
     for s0, f, g, d in [(2, 3, 1, 2), (2, 3, 4, 2), (3, 3, 2, 3), (2, 4, 3, 3)]:
         n = s0 * f + g
-        observed = support_class_counts(n, d, s0, g)
-        for (touches_tail, I), count in observed.items():
+        for (touches_tail, I), members in support_classes(n, d, s0, g).items():
             if touches_tail:
-                ok = ok and count == card_R_beta_I(s0, f, g, d, len(I))
+                ok = ok and len(members) == card_R_beta_I(s0, f, g, d, len(I))
         closed = sum(
             binomial(f, beta) * card_R_beta_I(s0, f, g, d, beta)
             for beta in beta_range_excluded(s0, g, d)

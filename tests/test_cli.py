@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 from ic_alloc import verify
-from ic_alloc.baselines import ThinningSpec, thin
+from ic_alloc.baselines import ThinningSpec, lex_partition, thin
 from ic_alloc.cli import main
 from ic_alloc.design import _prime_partition, build_base_partition, derive_parameters
+from ic_alloc.errors import UnsupportedParameters
 from ic_alloc.formats import emit_partition, emit_tasks, parse_partition, parse_tasks
 from ic_alloc.tasks import TaskSet
 
@@ -189,6 +190,21 @@ def test_sweep(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_montecarlo_prints_valid_json_when_phi_min_is_undefined(capsys):
+    # C(6, 2) = 15 does not exceed 2^4 * 3, so the threshold is undefined
+    code, out, _ = run(
+        capsys, "montecarlo", "--n", "6", "--d", "2", "--workers", "3", "--phi", "0.5",
+        "--trials", "2", "--seed", "1",
+    )
+    assert code == 0
+    doc = json.loads(out, parse_constant=_refuse_constant)
+    assert doc["phi_min"] is None and doc["vacuous"] is True
+
+
 def test_simulate(capsys):
     code, out, _ = run(
         capsys, "simulate", "--n", "20", "--d", "2", "--workers", "3",
@@ -358,6 +374,38 @@ def test_verify_scans_edges_only_when_groups_differ_from_construction(monkeypatc
     assert not checks["matches_construction"].ok
 
 
+def _baseline_partition(tmp, n):
+    # a lex split of the complete set: params null, own footprints as placement
+    path = tmp / "baseline.json"
+    path.write_text(emit_partition(lex_partition(TaskSet.full(n, 2), 3)))
+    return str(path)
+
+
+def test_verify_baseline_file_runs_the_structural_checks_only(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "--partition", _baseline_partition(tmp_path, 7))
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == CHECK_NAMES[:4] and all(c["ok"] for c in checks)
+
+
+def test_verify_params_that_no_derivation_gives(tmp_path, capsys):
+    # (n, d, N) = (5, 2, 3) gives k = 3 and s0 = 2 > floor(5 / 3)
+    with pytest.raises(UnsupportedParameters) as derivation:
+        derive_parameters(5, 2, 3)
+    doc = json.loads(Path(_baseline_partition(tmp_path, 5)).read_text())
+    doc["params"] = dict(_partition_doc(6, 2, 3)["params"], n=5)
+    part = tmp_path / "underivable.json"
+    part.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--partition", str(part))
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == CHECK_NAMES[:5]
+    assert all(c["ok"] for c in checks[:4])
+    assert checks[4] == {
+        "name": "params_rederivable", "ok": False, "detail": str(derivation.value)}
+    assert f"FAIL params_rederivable: {derivation.value}" in err
+
+
 def _partition_with_first_edge(tmp_path, edge):
     doc = _partition_doc(6, 2, 3)
     doc["groups"][0][0] = edge
@@ -374,10 +422,14 @@ def _partition_with_params(tmp_path, **edits):
     return path
 
 
-def _tasks_with_comment(tmp, comment):
-    path = tmp / "bad_tasks.txt"
-    path.write_text(f"# {comment}\n" + EXAMPLE1_TEXT)
+def _tasks_file(tmp, text):
+    path = tmp / "tasks.txt"
+    path.write_text(text)
     return str(path)
+
+
+def _tasks_with_comment(tmp, comment):
+    return _tasks_file(tmp, f"# {comment}\n" + EXAMPLE1_TEXT)
 
 
 def _eval_tasks_argv(tmp, comment):
@@ -411,6 +463,8 @@ BAD_INPUTS = {
     "sweep-grid-axis-not-numbers": lambda tmp: _sweep_argv(
         tmp, '{"n": [6], "d": ["2"], "N": [3]}'),
     "sweep-grid-not-json": lambda tmp: _sweep_argv(tmp, "{n: 6"),
+    "sweep-grid-fractional-n": lambda tmp: _sweep_argv(
+        tmp, '{"n": [40.7], "d": [2], "N": [3.9]}'),
     "verify-float-and-string-index": lambda tmp: [
         "verify", "--partition", str(_partition_with_first_edge(tmp, [1.9, "2"]))],
     "eval-float-and-string-index": lambda tmp: [
@@ -419,10 +473,18 @@ BAD_INPUTS = {
         "eval", "--partition", str(_partition_with_params(tmp, s="2"))],
     "eval-tasks-phi-not-a-number": lambda tmp: _eval_tasks_argv(tmp, "phi: zz"),
     "eval-tasks-seed-not-an-integer": lambda tmp: _eval_tasks_argv(tmp, "seed: abc"),
+    "eval-tasks-on-baseline-partition": lambda tmp: [
+        "eval", "--partition", _baseline_partition(tmp, 7),
+        "--tasks", _tasks_file(tmp, EXAMPLE1_TEXT)],
     "bruteforce-phi-not-a-number": lambda tmp: [
         "bruteforce", "--tasks", _tasks_with_comment(tmp, "phi: zz"), "--workers", "2"],
     "bruteforce-seed-not-an-integer": lambda tmp: [
         "bruteforce", "--tasks", _tasks_with_comment(tmp, "seed: abc"), "--workers", "2"],
+    "bruteforce-tasks-format-version-99": lambda tmp: [
+        "bruteforce", "--tasks", _tasks_with_comment(tmp, "format_version: 99"),
+        "--workers", "2"],
+    "bruteforce-zero-workers-empty-tasks": lambda tmp: [
+        "bruteforce", "--tasks", _tasks_file(tmp, "5 2 0\n"), "--workers", "0"],
 }
 
 

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from conftest import counts_by_beta
+from conftest import counts_by_beta, support_classes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +26,6 @@ from ic_alloc.errors import (
     IndexOutOfRange,
     InvalidPhi,
 )
-from ic_alloc.oracle import support_class_counts
 
 
 # --- t_beta / card_C_beta -------------------------------------------------
@@ -100,8 +99,8 @@ def test_interior_matches_enumeration():
                     if beta > f:
                         continue
                     assert by_beta.get(beta, 0) == card_C_beta(s, f, d, beta)
-                for (_, I), count in support_class_counts(n, d, s).items():
-                    assert count == t_beta(s, f, d, len(I))
+                for (_, I), members in support_classes(n, d, s).items():
+                    assert len(members) == t_beta(s, f, d, len(I))
 
 
 # --- m_beta ----------------------------------------------------------------
@@ -157,10 +156,9 @@ def test_card_R_matches_enumeration():
     for s0, f, g, d in [(2, 3, 1, 2), (2, 3, 4, 2), (3, 3, 2, 3), (2, 4, 3, 3), (1, 5, 2, 2)]:
         n_prime = s0 * f
         n = n_prime + g
-        observed = support_class_counts(n, d, s0, g)
-        for (touches_tail, I), count in observed.items():
+        for (touches_tail, I), members in support_classes(n, d, s0, g).items():
             if touches_tail:
-                assert count == card_R_beta_I(s0, f, g, d, len(I)), (s0, f, g, d, I)
+                assert len(members) == card_R_beta_I(s0, f, g, d, len(I)), (s0, f, g, d, I)
         # non-negativity across the whole admissible range
         for beta in beta_range_excluded(s0, g, d):
             if beta <= f:

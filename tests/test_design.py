@@ -4,6 +4,7 @@ import tracemalloc
 from itertools import combinations
 
 import pytest
+from conftest import support_classes
 
 from ic_alloc.combinatorics import binomial, enumerate_lex, lex_unrank
 from ic_alloc.counting import (
@@ -19,7 +20,6 @@ from ic_alloc.design import (
     NONDIVISIBLE,
     Router,
     _derive,
-    _eligible_groups,
     _prime_partition,
     assign_base_group,
     assign_tasks,
@@ -170,29 +170,14 @@ def test_base_partition_11_2_3_exact_contents():
 
 
 def _reference_prime_partition(n, d, k):
-    """The construction by classifying every tuple of A_{n,d}: work out
-    the families it touches and whether it touches the excluded tail, file
-    it under that support class, then deal each class (a full-support one
-    whole) to its eligible labels."""
+    """The construction from the per-tuple support classes of A_{n,d}:
+    deal each class to the labels containing its support, in block order.
+    A full-support class has one such label, so it goes to it whole."""
     params = _derive(n, d, binomial(k, d))
-    size, n_prime = params.family_size, params.n_prime
-    full, buckets = {}, {}
-    for t in enumerate_lex(n, d):
-        fams, exc = set(), False
-        for x in t:
-            if x > n_prime:
-                exc = True
-            else:
-                fams.add((x - 1) // size + 1)
-        I = tuple(sorted(fams))
-        if not exc and len(I) == d:
-            full.setdefault(I, []).append(t)
-        else:
-            buckets.setdefault((exc, I), []).append(t)
-    labels = list(combinations(range(1, k + 1), d))
-    groups = {sigma: list(full.get(sigma, ())) for sigma in labels}
-    for (_, I), members in buckets.items():
-        eligible = _eligible_groups(I, params.f, d)
+    labels = list(combinations(range(1, params.f + 1), d))
+    groups = {sigma: [] for sigma in labels}
+    for (_, I), members in support_classes(n, d, params.family_size, params.g).items():
+        eligible = [sigma for sigma in labels if set(I) <= set(sigma)]
         for j, sigma in enumerate(eligible, start=1):
             start, end = block_bounds(len(members), len(eligible), j)
             groups[sigma].extend(members[start - 1 : end])
@@ -527,6 +512,13 @@ def test_refine_dimension_mismatch():
         refine(base, TaskSet.full(7, 2))
     with pytest.raises(DimensionMismatch):
         refine(base, TaskSet.full(6, 3))
+
+
+def test_assign_tasks_dimension_mismatch():
+    params = derive_parameters(6, 2, 3)
+    for tasks in (TaskSet.full(7, 2), TaskSet.full(6, 3)):
+        with pytest.raises(DimensionMismatch):
+            assign_tasks(params, tasks)
 
 
 def test_refine_feasibility_random_tasks():

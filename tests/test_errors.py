@@ -4,7 +4,7 @@ from ic_alloc.baselines import ThinningSpec, lex_partition, random_partition
 from ic_alloc.combinatorics import binomial
 from ic_alloc.errors import ICAllocError, InvalidArgument
 from ic_alloc.harness import monte_carlo_delta, simulate_rounds
-from ic_alloc.oracle import support_class_counts
+from ic_alloc.oracle import brute_force_pi_star
 from ic_alloc.tasks import TaskSet
 
 X = TaskSet.full(6, 2)
@@ -15,7 +15,7 @@ CALLS = {
     "lex_partition-zero-workers": lambda: lex_partition(X, 0),
     "random_partition-zero-workers": lambda: random_partition(X, 0, seed=1),
     "binomial-negative": lambda: binomial(-1, 2),
-    "support_class_counts-indivisible": lambda: support_class_counts(7, 2, 2),
+    "brute_force_pi_star-zero-workers": lambda: brute_force_pi_star(X, 0),
 }
 
 

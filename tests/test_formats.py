@@ -95,6 +95,8 @@ PARSE_TASKS_ERRORS = [
     ("# phi: zz\n4 2 0\n", ParseError, "line 1: bad phi value 'zz'", 1),
     ("4 2 1\n1 2\n# seed: abc\n", ParseError, "line 3: bad seed value 'abc'", 3),
     ("4 2 1\n1 2  # seed: 1.5\n", ParseError, "line 2: bad seed value '1.5'", 2),
+    ("# format_version: 99\n4 2 0\n", ParseError,
+     "line 1: unsupported format_version '99'", 1),
     ("", ParseError, "empty input: missing 'n d m' header", None),
     ("# only a comment\n\n", ParseError, "empty input: missing 'n d m' header", None),
 ]

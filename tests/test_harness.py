@@ -6,6 +6,7 @@ import pytest
 from ic_alloc import harness
 from ic_alloc.baselines import ThinningSpec
 from ic_alloc.design import footprint, refine
+from ic_alloc.errors import SchemaError
 from ic_alloc.formats import emit_sweep_csv
 from ic_alloc.harness import (
     MonteCarloSummary,
@@ -70,6 +71,16 @@ def test_grid_points_cartesian_product():
     pts = grid_points(axes)
     assert len(pts) == 4
     assert pts[0] == (6, 2, 3, 1.0, 0)
+
+
+@pytest.mark.parametrize("axis", ["n", "d", "N", "seed"])
+def test_grid_points_refuses_non_integer_axes(axis):
+    # phi takes any number; the other axes only JSON integers, never rounded
+    axes = {"n": [6], "d": [2], "N": [3], "phi": [1], "seed": [0]}
+    assert grid_points(axes) == [(6, 2, 3, 1.0, 0)]
+    for bad in (6.0, 40.7, True):
+        with pytest.raises(SchemaError):
+            grid_points({**axes, axis: [bad]})
 
 
 def test_sweep_single_point_matches_worked_values():

@@ -1,14 +1,14 @@
 import random
 
 import pytest
-from conftest import counts_by_beta
+from conftest import counts_by_beta, support_classes
 
 from ic_alloc.combinatorics import binomial, enumerate_lex
 from ic_alloc.counting import pi_lower_bound_int
 from ic_alloc.design import build_base_partition, derive_parameters, refine
 from ic_alloc.errors import InstanceTooLarge
 from ic_alloc.metrics import pi_of
-from ic_alloc.oracle import brute_force_pi_star, support_class_counts
+from ic_alloc.oracle import brute_force_pi_star
 from ic_alloc.tasks import TaskSet
 
 EXAMPLE1_X = TaskSet.from_edges(7, 2, [(1, 2), (1, 3), (2, 3), (4, 5), (3, 6), (2, 7)])
@@ -79,33 +79,26 @@ def test_classify_by_support_goldens():
     assert counts_by_beta(6, 2, 2) == {1: 3, 2: 12}
     assert counts_by_beta(4, 2, 2) == {1: 2, 2: 4}
     assert counts_by_beta(4, 4, 2) == {2: 1}
-    assert support_class_counts(4, 2, 2) == {
-        (False, (1,)): 1, (False, (1, 2)): 4, (False, (2,)): 1,
+    assert support_classes(4, 2, 2) == {
+        (False, (1,)): [(1, 2)],
+        (False, (1, 2)): [(1, 3), (1, 4), (2, 3), (2, 4)],
+        (False, (2,)): [(3, 4)],
     }
 
 
 def test_classify_totals():
     for n, d, s in [(6, 2, 2), (12, 3, 4), (9, 3, 3)]:
-        counts = support_class_counts(n, d, s)
-        assert sum(counts.values()) == binomial(n, d)
-        assert not any(touches_tail for touches_tail, _ in counts)
+        classes = support_classes(n, d, s)
+        assert sum(map(len, classes.values())) == binomial(n, d)
+        assert not any(touches_tail for touches_tail, _ in classes)
 
 
 def test_classify_excluded_totals():
     n, d, s0, g = 11, 2, 3, 2
-    counts = support_class_counts(n, d, s0, g)
-    excluded = sum(c for (touches_tail, _), c in counts.items() if touches_tail)
+    classes = support_classes(n, d, s0, g)
+    excluded = sum(len(m) for (touches_tail, _), m in classes.items() if touches_tail)
     assert excluded == binomial(n, d) - binomial(n - g, d)
-    assert sum(counts.values()) == binomial(n, d)
-
-
-def test_classify_caps():
-    with pytest.raises(InstanceTooLarge):
-        support_class_counts(100, 4, 2)  # C(100, 4) = 3.9M > 10^6
-    with pytest.raises(ValueError):
-        support_class_counts(7, 2, 2)  # s must divide n
-    with pytest.raises(ValueError):
-        support_class_counts(11, 2, 3, 1)  # s0 must divide n - g
+    assert sum(map(len, classes.values())) == binomial(n, d)
 
 
 def test_sandwich_on_random_tiny_instances():

@@ -13,8 +13,8 @@ fixed header.
 from __future__ import annotations
 
 import json
-from itertools import chain
-from operator import lt
+from itertools import chain, groupby, islice
+from operator import eq, lt
 
 from .design import ICParameters, Partition
 from .errors import DuplicateEdge, IndexOutOfBounds, ParseError, SchemaError
@@ -31,17 +31,14 @@ SWEEP_COLUMNS = [
 _TASK_META_TYPES = {"phi": float, "seed": int, "generator": str}
 
 
-def parse_tasks(text: str) -> TaskSet:
-    """Parse the task-set text format into a canonical TaskSet.  Every edge
-    line is validated here, errors carrying its line number, so the
-    TaskSet is built from the checked edges without a second pass."""
-    header: tuple[int, int, int] | None = None
-    edges: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    meta: dict[str, object] = {}
+_BLOCK = 1024  # edge lines per bulk check, which bounds its transient lists
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        comment = None
+
+def _read_lines(lines, first: int, header, meta: dict, edges: list):
+    """Read `lines`, numbered from `first`, one at a time into `meta` and `edges`,
+    raising the first error (a duplicate only among these lines); return the header."""
+    seen = set()
+    for lineno, raw in enumerate(lines, start=first):
         if "#" in raw:
             raw, _, comment = raw.partition("#")
             comment = comment.strip()
@@ -81,6 +78,40 @@ def parse_tasks(text: str) -> TaskSet:
             raise DuplicateEdge(f"edge {values} listed twice", lineno)
         seen.add(values)
         edges.append(values)
+    return header
+
+
+def parse_tasks(text: str) -> TaskSet:
+    """Parse the task-set text format into a canonical TaskSet, validating every
+    edge line.  A block of canonical edge lines is checked by C-level calls, any
+    other block (comments, tokens such as "+5") line by line; an error, or a
+    duplicate across blocks, rereads the whole text line by line, which names
+    the first error with its line number.  The TaskSet takes the checked edges."""
+    lines = text.splitlines()
+    meta: dict[str, object] = {}
+    edges: list[tuple[int, ...]] = []
+    start = next((i + 1 for i, raw in enumerate(lines) if raw.partition("#")[0].split()),
+                 len(lines))  # past the header line
+    try:
+        header = _read_lines(lines[:start], 1, None, meta, edges)
+        n, d, _ = header or (0, 0, 0)
+        table = {str(v): v for v in range(1, min(n, len(lines)) + 1)}  # <= one per line
+        for i in range(start, len(lines), _BLOCK):
+            rows = list(filter(None, map(str.split, lines[i:i + _BLOCK])))
+            cols = [tuple(map(table.get, col)) for col in zip(*rows)]  # None if not in table
+            if (len(cols) == d and all(map(d.__eq__, map(len, rows))) and all(map(all, cols))
+                    and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))):
+                edges.extend(zip(*cols))
+            else:
+                _read_lines(lines[i:i + _BLOCK], i + 1, header, meta, edges)
+        edges.sort()
+        clean = not any(map(eq, edges, islice(edges, 1, None)))
+    except ParseError:
+        clean = False
+    if not clean:
+        meta, edges = {}, []
+        header = _read_lines(lines, 1, None, meta, edges)
+        edges.sort()
 
     if header is None:
         raise ParseError("empty input: missing 'n d m' header")
@@ -88,7 +119,7 @@ def parse_tasks(text: str) -> TaskSet:
     if len(edges) != m:
         raise ParseError(f"header announced {m} edges but {len(edges)} were given")
 
-    return TaskSet(n, d, tuple(sorted(edges)), phi=meta.get("phi"), seed=meta.get("seed"),
+    return TaskSet(n, d, tuple(edges), phi=meta.get("phi"), seed=meta.get("seed"),
                    generator_id=meta.get("generator"))
 
 
@@ -101,9 +132,9 @@ def emit_tasks(tasks: TaskSet) -> str:
         lines.append(f"# seed: {tasks.seed}")
     if tasks.generator_id is not None:
         lines.append(f"# generator: {tasks.generator_id}")
-    lines.append(f"{tasks.n} {tasks.d} {len(tasks.edges)}")
-    lines.extend(map(" ".join(["%d"] * tasks.d).__mod__, tasks.edges))
-    return "\n".join(lines) + "\n"
+    lines.append(f"{tasks.n} {tasks.d} {len(tasks.edges)}\n")
+    row = " ".join(["%d"] * tasks.d) + "\n"
+    return "\n".join(lines) + (row * len(tasks.edges)) % tuple(chain.from_iterable(tasks.edges))
 
 
 _PARTITION_KEYS = {
@@ -125,9 +156,15 @@ def _json_list(items: list[str], indent: int) -> str:
 
 
 def _int_rows(rows, indent: int) -> str:
-    # _json_list of int tuples, one %-template per tuple length
-    templates = {size: _json_list(["%d"] * size, indent + 2) for size in set(map(len, rows))}
-    return _json_list([templates[len(t)] % t for t in rows], indent)
+    # _json_list of int tuples, one % per run of up to 256 rows of one length
+    # (one % per group would hold a group's text twice at once)
+    chunks = []
+    for size, run in groupby(rows, len):
+        row = _json_list(["%d"] * size, indent + 2)
+        while part := tuple(islice(run, 256)):
+            template = (",\n" + " " * indent).join([row] * len(part))
+            chunks.append(template % tuple(chain.from_iterable(part)))
+    return _json_list(chunks, indent)
 
 
 def emit_partition(p: Partition) -> str:

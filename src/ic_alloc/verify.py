@@ -65,7 +65,10 @@ def run_invariant_checks(p: Partition) -> list[Check]:
     add("groups_disjoint", distinct == total, f"{total} edges, {distinct} distinct")
     add("edge_count_within_universe", total <= universe, f"{total} <= C({p.n},{p.d})")
 
-    add("assignments_feasible", _within_placement(p), "every group within its placement")
+    # groups equal to the construction's have its placement as their footprints
+    feasible = (all(map(set.issuperset, map(set, p.placement), base.placement)) if same_groups
+                else _within_placement(p))
+    add("assignments_feasible", feasible, "every group within its placement")
 
     if p.params is None:
         return checks

@@ -1,5 +1,6 @@
-"""Shared fixtures: the full small-parameter grid, evaluated once, and the
-per-tuple support classifier the counting and construction checks share."""
+"""Shared fixtures: the full small-parameter grid, evaluated once, the
+per-tuple support classifier the counting and construction checks share,
+and the line-by-line task-file reader the parser is checked against."""
 
 from __future__ import annotations
 
@@ -7,12 +8,14 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from operator import lt
 
 import pytest
 
 from ic_alloc.combinatorics import binomial
 from ic_alloc.design import build_base_partition, derive_parameters
-from ic_alloc.errors import UnsupportedParameters
+from ic_alloc.errors import DuplicateEdge, IndexOutOfBounds, ParseError, UnsupportedParameters
+from ic_alloc.tasks import TaskSet
 
 GRID_N_MAX = 60
 GRID_D = (2, 3)
@@ -119,3 +122,64 @@ def counts_by_beta(n: int, d: int, s: int) -> dict[int, int]:
     for (_, support), members in support_classes(n, d, s).items():
         by_beta[len(support)] += len(members)
     return dict(by_beta)
+
+
+_TASK_META_TYPES = {"phi": float, "seed": int, "generator": str}
+
+
+def _reference_parse_tasks(text: str) -> TaskSet:
+    """The task-file format read one line at a time, in file order: the
+    first malformed line raises, naming its line number."""
+    header: tuple[int, int, int] | None = None
+    edges: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    meta: dict[str, object] = {}
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw, _, comment = raw.partition("#")
+            comment = comment.strip()
+            if ":" in comment:
+                key, _, value = comment.partition(":")
+                key, value = key.strip(), value.strip()
+                if key == "format_version" and value != "1":
+                    raise ParseError(f"unsupported format_version {value!r}", lineno)
+                if key in _TASK_META_TYPES:
+                    try:
+                        meta[key] = _TASK_META_TYPES[key](value)
+                    except ValueError:
+                        raise ParseError(f"bad {key} value {value!r}", lineno)
+        parts = raw.split()
+        if not parts:
+            continue
+        try:
+            values = tuple(map(int, parts))
+        except ValueError:
+            raise ParseError(f"non-integer token in {raw.strip()!r}", lineno)
+        if header is None:
+            if len(values) != 3:
+                raise ParseError("header must be 'n d m'", lineno)
+            n, d, m = values
+            if n < 1 or d < 1 or d > n or m < 0:
+                raise ParseError(f"invalid header n={n} d={d} m={m}", lineno)
+            header = (n, d, m)
+            continue
+        n, d, m = header
+        if len(values) != d:
+            raise ParseError(f"expected {d} elements, got {len(values)}", lineno)
+        if not all(map(lt, values, values[1:])):
+            raise ParseError(f"elements must be strictly ascending: {list(values)}", lineno)
+        if values[0] < 1 or values[-1] > n:
+            raise IndexOutOfBounds(f"elements of {list(values)} outside [1, {n}]", lineno)
+        if values in seen:
+            raise DuplicateEdge(f"edge {values} listed twice", lineno)
+        seen.add(values)
+        edges.append(values)
+
+    if header is None:
+        raise ParseError("empty input: missing 'n d m' header")
+    n, d, m = header
+    if len(edges) != m:
+        raise ParseError(f"header announced {m} edges but {len(edges)} were given")
+    return TaskSet(n, d, tuple(sorted(edges)), phi=meta.get("phi"), seed=meta.get("seed"),
+                   generator_id=meta.get("generator"))

@@ -326,6 +326,9 @@ TAMPERS = {
         "params_rederivable", lambda doc: doc["params"].__setitem__("q", 2)),
     # (5, 9) lifts the first group's footprint to 9 files, past s*d = 8
     "promised_bounds": ("promised_bounds", lambda doc: _move(doc, 2, 0, [5, 9])),
+    # the groups still equal the construction's, and group 2 touches file 1
+    "assignments_feasible": (
+        "assignments_feasible", lambda doc: doc["footprints"][1].remove(1)),
     # both edges lie inside family 1, which both placements hold
     "matches_construction": (
         "matches_construction", lambda doc: _swap(doc, 0, 1, [1, 2], [2, 3])),
@@ -355,20 +358,22 @@ CHECK_NAMES = [
 
 
 def test_verify_scans_edges_only_when_groups_differ_from_construction(monkeypatch):
-    calls = []
+    calls, scans = [], []
     real = verify.validate_dtuple
     monkeypatch.setattr(
         verify, "validate_dtuple", lambda t, n, d: calls.append(t) or real(t, n, d))
+    within = verify._within_placement
+    monkeypatch.setattr(verify, "_within_placement", lambda p: scans.append(p) or within(p))
 
     untouched = parse_partition(json.dumps(_partition_doc(12, 2, 3)))
     checks = verify.run_invariant_checks(untouched)
     assert [c.name for c in checks] == CHECK_NAMES and all(c.ok for c in checks)
-    assert calls == []
+    assert calls == [] and scans == []
 
     doc = _partition_doc(12, 2, 3)
     _swap(doc, 0, 1, [1, 2], [2, 3])
     checks = {c.name: c for c in verify.run_invariant_checks(parse_partition(json.dumps(doc)))}
-    assert len(calls) == 66
+    assert len(calls) == 66 and len(scans) == 1
     assert checks["edges_well_formed"].ok and checks["edges_well_formed"].detail == (
         "0 malformed edges")
     assert not checks["matches_construction"].ok

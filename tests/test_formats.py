@@ -1,14 +1,18 @@
+import gc
 import hashlib
 import json
 import tracemalloc
 from dataclasses import fields, replace
+from itertools import combinations
 
 import pytest
+from conftest import _reference_parse_tasks
 
 from ic_alloc.baselines import ThinningSpec, lex_partition, thin
-from ic_alloc.design import build_base_partition, derive_parameters, refine
+from ic_alloc.design import Partition, build_base_partition, derive_parameters, refine
 from ic_alloc.errors import DuplicateEdge, IndexOutOfBounds, ParseError, SchemaError
 from ic_alloc.formats import (
+    _BLOCK,
     SWEEP_COLUMNS,
     emit_partition,
     emit_sweep_csv,
@@ -111,6 +115,98 @@ def test_parse_tasks_error_type_message_and_line(text, kind, message, line):
     assert err.value.line == line
 
 
+# --- parse_tasks against the line-by-line reader, on texts of many blocks -------
+# The header is line 1 and edge lines start at line 2, so the third block of
+# edge lines runs from FIRST to LAST.
+
+FIRST, LAST = 2 + 2 * _BLOCK, 1 + 3 * _BLOCK
+
+
+def _edge_lines():
+    # 9,880 edges of n=40, d=3: nearly ten blocks
+    return ["40 3 9880"] + [" ".join(map(str, t)) for t in combinations(range(1, 41), 3)]
+
+
+def _put(lines, lineno, text):
+    lines[lineno - 1] = text
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
+BAD_LINES = {
+    "non-integer": "1 x 3",
+    "float": "1 2 3.0",
+    "arity": "1 2",
+    "descending": "3 2 1",
+    "out-of-bounds": "1 2 41",
+    "zero": "0 1 2",
+    "duplicate": "1 2 3",  # line 2's edge
+    "bad-metadata": "4 5 6  # seed: 1.5",
+    "format-version": "# format_version: 2",
+}
+
+
+@pytest.mark.parametrize("lineno", [FIRST, LAST], ids=["first", "last"])
+@pytest.mark.parametrize("kind", list(BAD_LINES))
+def test_parse_tasks_error_in_a_later_block_equals_line_by_line(kind, lineno):
+    text = _put(_edge_lines(), lineno, BAD_LINES[kind])
+    expected = _outcome(_reference_parse_tasks, text)
+    assert expected[2] == lineno
+    assert _outcome(parse_tasks, text) == expected
+
+
+def _crlf_tabs_spaces_blanks(lines):
+    lines[FIRST - 1] = "\t".join(lines[FIRST - 1].split())
+    lines[LAST - 1] = "   " + lines[LAST - 1].replace(" ", "  \t ") + "  "
+    lines[FIRST + 5:FIRST + 5] = ["", "   ", "\t"]
+    return "\r\n".join(lines) + "\r\n"
+
+
+def _comments_and_metadata(lines):
+    lines[FIRST - 1] += "  # trailing note"
+    lines[LAST - 1] += "# phi: 0.25"
+    lines[FIRST + 9:FIRST + 9] = ["# seed: 7", "#", "# generator: by hand", "  # note: x"]
+    return "\n".join(lines) + "\n"
+
+
+def _plus_and_zero_padded(lines):
+    lines[FIRST - 1] = " ".join("+" + x for x in lines[FIRST - 1].split())
+    lines[LAST - 1] = " ".join(x.zfill(3) for x in lines[LAST - 1].split())
+    return "\n".join(lines) + "\n"
+
+
+def _duplicate_before_an_error(lines):
+    lines[FIRST - 1] = "1 x 3"
+    return _put(lines, 3, lines[1])
+
+
+DIFFERENTIAL_TEXTS = {
+    "clean": lambda lines: "\n".join(lines) + "\n",
+    "duplicate-across-a-block-boundary": lambda lines: _put(lines, FIRST, lines[FIRST - 2]),
+    "duplicate-in-the-first-block-before-an-error": _duplicate_before_an_error,
+    "duplicate-of-the-first-edge-on-the-last-line": lambda lines: _put(
+        lines, len(lines), lines[1]),
+    "count-above-the-edges": lambda lines: _put(lines, 1, "40 3 9881"),
+    "count-below-the-edges": lambda lines: _put(lines, 1, "40 3 9879"),
+    "crlf-tabs-spaces-blanks": _crlf_tabs_spaces_blanks,
+    "comments-and-metadata": _comments_and_metadata,
+    "plus-and-zero-padded": _plus_and_zero_padded,
+}
+
+
+@pytest.mark.parametrize("case", list(DIFFERENTIAL_TEXTS))
+def test_parse_tasks_equals_line_by_line(case):
+    text = DIFFERENTIAL_TEXTS[case](_edge_lines())
+    assert text.count("\n") > 3 * _BLOCK
+    assert _outcome(parse_tasks, text) == _outcome(_reference_parse_tasks, text)
+
+
 def test_tasks_round_trip_plain():
     tasks = TaskSet.from_edges(7, 2, [(1, 2), (4, 5), (2, 7)])
     assert parse_tasks(emit_tasks(tasks)) == tasks
@@ -176,6 +272,7 @@ def test_parse_partition_schema_errors():
 
 def _traced(call):
     """call()'s result, the traced memory it keeps, and its traced peak."""
+    gc.collect()  # the window starts from the same state whatever ran before
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -194,6 +291,16 @@ def test_parse_partition_peak_memory_stays_near_its_result():
     parsed, kept, peak = _traced(lambda: parse_partition(text))
     assert parsed.N == 20
     assert peak < 1.6 * kept
+
+
+def test_parse_tasks_peak_memory_stays_bounded_by_its_blocks():
+    # n=48, phi=0.5: about 8,800 edge lines, 74 kB of text.  The traced peak
+    # is 23-24 B per character read line by line or in blocks, and 54 B when
+    # the whole file is split and converted at once
+    text = emit_tasks(thin(48, 3, ThinningSpec(0.5, 1)))
+    parsed, _, peak = _traced(lambda: parse_tasks(text))
+    assert len(parsed) > 8 * _BLOCK
+    assert peak < 32 * len(text)
 
 
 def test_emit_partition_copies_the_groups_text_once():
@@ -356,6 +463,12 @@ WRITER_CASES = {
         _base(6, 2, 3),
         metadata={"note": '"groups": 0, "footprints": 0\n  x', "nested": {"groups": 0}},
     ),
+    # about 860 rows per group: the writer's chunks of rows end inside a group
+    "groups-past-a-chunk": lambda: _base(48, 3, 20),
+    "rows-of-mixed-length": lambda: Partition(
+        9, 2, (((1, 2),) * 300 + ((3,), (), (4, 5, 6)) + ((7, 8),) * 257, ()),
+        ((1, 2, 3, 4, 5, 6, 7, 8), ()),
+    ),
 }
 
 
@@ -363,3 +476,23 @@ WRITER_CASES = {
 def test_emit_partition_equals_json_dumps(name):
     p = WRITER_CASES[name]()
     assert emit_partition(p) == _reference_emit(p)
+
+
+def _reference_emit_tasks(tasks):
+    # the format written one line per edge
+    lines = ["# format_version: 1"]
+    lines += [f"# phi: {tasks.phi!r}"] if tasks.phi is not None else []
+    lines += [f"# seed: {tasks.seed}"] if tasks.seed is not None else []
+    lines += [f"# generator: {tasks.generator_id}"] if tasks.generator_id is not None else []
+    lines.append(f"{tasks.n} {tasks.d} {len(tasks.edges)}")
+    lines += [" ".join(map(str, e)) for e in tasks.edges]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "tasks",
+    [thin(48, 3, ThinningSpec(0.5, 4)), TaskSet.full(30, 2), TaskSet.full(300, 1)],
+    ids=["thinned", "full-d2", "full-d1"],
+)
+def test_emit_tasks_equals_line_by_line(tasks):
+    assert emit_tasks(tasks) == _reference_emit_tasks(tasks)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import chain, compress
 
 from .combinatorics import _rank, binomial, enumerate_lex
-from .counting import block_bounds
+from .counting import block_slices
 from .design import Partition, _own_placement
 from .errors import InvalidArgument, InvalidPhi
 from .tasks import TaskSet
@@ -111,12 +111,8 @@ def lex_partition(tasks: TaskSet, N: int) -> Partition:
     first.  The obvious baseline the construction is measured against."""
     if N < 1:
         raise InvalidArgument(f"need N >= 1, got {N}")
-    edges = tasks.edges  # already lexicographically sorted
-    groups = []
-    for j in range(1, N + 1):
-        start, end = block_bounds(len(edges), N, j)
-        groups.append(edges[start - 1 : end])
-    return _own_placement(tasks.n, tasks.d, tuple(groups), {"baseline": "lex"})
+    groups = tuple(block_slices(tasks.edges, N))  # the edges are lexicographically sorted
+    return _own_placement(tasks.n, tasks.d, groups, {"baseline": "lex"})
 
 
 def random_partition(tasks: TaskSet, N: int, seed: int) -> Partition:

@@ -101,6 +101,13 @@ def block_bounds(t: int, m: int, j: int) -> tuple[int, int]:
     return start, end
 
 
+def block_slices(items, m: int) -> list:
+    """items cut into the m near-equal contiguous blocks of block_bounds,
+    in order; a block past the last item is empty."""
+    bounds = (block_bounds(len(items), m, j) for j in range(1, m + 1))
+    return [items[start - 1 : end] for start, end in bounds]
+
+
 def block_index(t: int, m: int, position: int) -> int:
     """Inverse of block_bounds: the j with start_j <= position <= end_j."""
     if position < 1 or position > t:

@@ -35,7 +35,7 @@ from operator import add
 from typing import Iterator, NamedTuple
 
 from .combinatorics import DTuple, binomial, validate_dtuple
-from .counting import block_bounds, block_index
+from .counting import block_bounds, block_index, block_slices
 from .covering import Block, PrefixTables, count_below, prefix_tables, ways_by_count
 from .errors import (
     DimensionMismatch,
@@ -237,44 +237,30 @@ def _prime_partition(n: int, d: int, k: int) -> tuple[tuple[DTuple, ...], ...]:
     groups: dict[tuple[int, ...], list[DTuple]] = {sigma: [] for sigma in rt.labels}
     for cls in rt.classes_within(range(1, k + 1)):
         members = _support_class(cls.blocks, d)
-        for j, sigma in enumerate(cls.eligible, start=1):
-            start, end = cls.ranks(j)
-            if start > end:
-                break
-            groups[sigma].extend(members[start - 1 : end])
+        for sigma, part in zip(cls.eligible, block_slices(members, len(cls.eligible))):
+            groups[sigma].extend(part)
 
     return tuple(tuple(sorted(groups[sigma])) for sigma in rt.labels)
-
-
-def _extend(
-    prime: tuple[tuple[DTuple, ...], ...], params: ICParameters
-) -> tuple[tuple[DTuple, ...], ...]:
-    """Split the N' groups into near-equal lexicographic slices and relabel
-    slice j of group b as group b + (j - 1) * N'."""
-    N_prime, q, p, r = params.N_prime, params.q, params.p, params.r
-    out: list[tuple[DTuple, ...]] = [()] * params.N
-    for b0, members in enumerate(prime, start=1):
-        parts = p if b0 <= r else q
-        for j in range(1, parts + 1):
-            start, end = block_bounds(len(members), parts, j)
-            out[b0 + (j - 1) * N_prime - 1] = members[start - 1 : end]
-    return tuple(out)
 
 
 def build_base_partition(params: ICParameters) -> Partition:
     """Materialize the partition of the complete task set (phi = 1): the N
     groups, each placed on its own footprint.
 
-    Limited to C(n, d) <= DEFAULT_MATERIALIZE_CAP; beyond that use
+    Limited to C(n, d) and N at most DEFAULT_MATERIALIZE_CAP; beyond that use
     assign_base_group / assign_tasks, which never materialize a group.
     """
     total = binomial(params.n, params.d)
-    if total > DEFAULT_MATERIALIZE_CAP:
+    if max(total, params.N) > DEFAULT_MATERIALIZE_CAP:
         raise InstanceTooLarge(
-            f"C({params.n},{params.d}) = {total} exceeds the materialization "
-            f"cap {DEFAULT_MATERIALIZE_CAP}; use the streaming interface"
+            f"C({params.n},{params.d}) = {total} tuples or N = {params.N} groups exceeds "
+            f"the materialization cap {DEFAULT_MATERIALIZE_CAP}; use the streaming interface"
         )
-    groups = _extend(_prime_partition(params.n, params.d, params.k), params)
+    out: list[tuple[DTuple, ...]] = [()] * params.N  # slice j of label b0 (from 0): b0 + j * N'
+    for b0, members in enumerate(_prime_partition(params.n, params.d, params.k)):
+        for j, part in enumerate(block_slices(members, params.p if b0 < params.r else params.q)):
+            out[b0 + j * params.N_prime] = part
+    groups = tuple(out)
     return Partition(
         params.n, params.d, groups, tuple(footprint(g) for g in groups), params, {"phi": 1.0}
     )
@@ -305,11 +291,6 @@ class _SupportClass(NamedTuple):
     tables: list[PrefixTables]
     size: int
     eligible: list[tuple[int, ...]]
-
-    def ranks(self, j: int) -> tuple[int, int]:
-        """1-based inclusive range of the ranks dealt to the j-th eligible
-        label; empty (start > end) past the class's last member."""
-        return block_bounds(self.size, len(self.eligible), j)
 
 
 class Router:
@@ -398,7 +379,8 @@ class Router:
         (I = sigma) is dealt whole to sigma."""
         out = []
         for cls in self.classes_within(sigma):
-            start, end = cls.ranks(bisect_left(cls.eligible, sigma) + 1)
+            j = bisect_left(cls.eligible, sigma) + 1
+            start, end = block_bounds(cls.size, len(cls.eligible), j)
             if start <= end:
                 out.append((cls, start, end))
         return out, sum(end - start + 1 for _, start, end in out)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from itertools import chain, groupby, islice
 from operator import eq, lt
+from typing import get_args, get_type_hints
 
 from .design import ICParameters, Partition
 from .errors import DuplicateEdge, IndexOutOfBounds, ParseError, SchemaError
@@ -34,11 +35,11 @@ _TASK_META_TYPES = {"phi": float, "seed": int, "generator": str}
 _BLOCK = 1024  # edge lines per bulk check, which bounds its transient lists
 
 
-def _read_lines(lines, first: int, header, meta: dict, edges: list):
-    """Read `lines`, numbered from `first`, one at a time into `meta` and `edges`,
-    raising the first error (a duplicate only among these lines); return the header."""
-    seen = set()
-    for lineno, raw in enumerate(lines, start=first):
+def _read_lines(lines):
+    """Read `lines` one at a time, raising the first error with its line number;
+    return the header (None if there is none), the metadata and the edges."""
+    header, meta, edges, seen = None, {}, [], set()
+    for lineno, raw in enumerate(lines, start=1):
         if "#" in raw:
             raw, _, comment = raw.partition("#")
             comment = comment.strip()
@@ -78,39 +79,34 @@ def _read_lines(lines, first: int, header, meta: dict, edges: list):
             raise DuplicateEdge(f"edge {values} listed twice", lineno)
         seen.add(values)
         edges.append(values)
-    return header
+    return header, meta, edges
 
 
 def parse_tasks(text: str) -> TaskSet:
     """Parse the task-set text format into a canonical TaskSet, validating every
-    edge line.  A block of canonical edge lines is checked by C-level calls, any
-    other block (comments, tokens such as "+5") line by line; an error, or a
-    duplicate across blocks, rereads the whole text line by line, which names
-    the first error with its line number.  The TaskSet takes the checked edges."""
+    edge line.  The lines up to the header are read one at a time; after it,
+    blocks of canonical edge lines are checked by C-level calls.  Any other block
+    (a comment, a token such as "+5" or "007", a blank block, an error) or a
+    duplicate rereads the whole text line by line, which names the first error
+    with its line number.  The TaskSet takes the checked edges."""
     lines = text.splitlines()
-    meta: dict[str, object] = {}
-    edges: list[tuple[int, ...]] = []
     start = next((i + 1 for i, raw in enumerate(lines) if raw.partition("#")[0].split()),
                  len(lines))  # past the header line
-    try:
-        header = _read_lines(lines[:start], 1, None, meta, edges)
-        n, d, _ = header or (0, 0, 0)
-        table = {str(v): v for v in range(1, min(n, len(lines)) + 1)}  # <= one per line
-        for i in range(start, len(lines), _BLOCK):
-            rows = list(filter(None, map(str.split, lines[i:i + _BLOCK])))
-            cols = [tuple(map(table.get, col)) for col in zip(*rows)]  # None if not in table
-            if (len(cols) == d and all(map(d.__eq__, map(len, rows))) and all(map(all, cols))
-                    and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))):
-                edges.extend(zip(*cols))
-            else:
-                _read_lines(lines[i:i + _BLOCK], i + 1, header, meta, edges)
-        edges.sort()
-        clean = not any(map(eq, edges, islice(edges, 1, None)))
-    except ParseError:
-        clean = False
-    if not clean:
-        meta, edges = {}, []
-        header = _read_lines(lines, 1, None, meta, edges)
+    header, meta, edges = _read_lines(lines[:start])
+    n, d, _ = header or (0, 0, 0)
+    table = {str(v): v for v in range(1, min(n, len(lines)) + 1)}  # <= one per line
+    canonical = True
+    for i in range(start, len(lines), _BLOCK):
+        rows = list(filter(None, map(str.split, lines[i:i + _BLOCK])))
+        cols = [tuple(map(table.get, col)) for col in zip(*rows)]  # None if not in table
+        canonical = (len(cols) == d and all(map(d.__eq__, map(len, rows))) and all(map(all, cols))
+                     and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])))
+        if not canonical:
+            break
+        edges.extend(zip(*cols))
+    edges.sort()
+    if not canonical or any(map(eq, edges, islice(edges, 1, None))):
+        header, meta, edges = _read_lines(lines)
         edges.sort()
 
     if header is None:
@@ -141,6 +137,8 @@ _PARTITION_KEYS = {
     "format_version", "n", "d", "N", "case", "params",
     "groups", "footprints", "metadata",
 }
+# the types a derived params value can have; == alone would take 16.0 or true for 16 or 1
+_PARAM_TYPES = {k: get_args(t) or (t,) for k, t in get_type_hints(ICParameters).items()}
 
 
 def _json_list(items: list[str], indent: int) -> str:
@@ -199,7 +197,7 @@ def parse_partition(text: str) -> Partition:
     missing = _PARTITION_KEYS - doc.keys()
     if missing:
         raise SchemaError(f"missing keys: {sorted(missing)}")
-    if doc["format_version"] != FORMAT_VERSION:
+    if doc["format_version"] != FORMAT_VERSION or type(doc["format_version"]) is not int:
         raise SchemaError(f"unsupported format_version {doc['format_version']!r}")
     params = None
     if doc["params"] is not None:
@@ -207,6 +205,9 @@ def parse_partition(text: str) -> Partition:
             params = ICParameters(**doc["params"])
         except TypeError as exc:
             raise SchemaError(f"bad params object: {exc}") from exc
+        wrong = sorted(k for k, v in doc["params"].items() if type(v) not in _PARAM_TYPES[k])
+        if wrong:
+            raise SchemaError(f"params values of the wrong type: {wrong}")
     rows = doc["groups"]
     try:
         # pop each group's JSON lists as it is converted (last first), so the
@@ -229,11 +230,10 @@ def parse_partition(text: str) -> Partition:
         raise SchemaError(
             f"N={N} but {len(groups)} groups / {len(placement)} footprints"
         )
-    if params is not None and (params.n, params.d, params.N) != (n, d, N):
-        raise SchemaError(
-            f"params ({params.n},{params.d},{params.N}) disagree with "
-            f"document ({n},{d},{N})"
-        )
+    stored = (n, d, N, None) if params is None else (params.n, params.d, params.N, params.case)
+    if stored != (n, d, N, doc["case"]):
+        raise SchemaError(f"params {stored} disagree with the document's n, d, N and case "
+                          f"{(n, d, N, doc['case'])}")
     return Partition(n, d, groups, placement, params, doc["metadata"])
 
 

@@ -399,6 +399,7 @@ def test_verify_params_that_no_derivation_gives(tmp_path, capsys):
         derive_parameters(5, 2, 3)
     doc = json.loads(Path(_baseline_partition(tmp_path, 5)).read_text())
     doc["params"] = dict(_partition_doc(6, 2, 3)["params"], n=5)
+    doc["case"] = doc["params"]["case"]  # the top-level case must agree with params
     part = tmp_path / "underivable.json"
     part.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", "--partition", str(part))
@@ -423,6 +424,14 @@ def _partition_with_params(tmp_path, **edits):
     doc = _partition_doc(6, 2, 3)
     doc["params"].update(edits)
     path = tmp_path / "bad_params.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _partition_with_keys(tmp_path, **edits):
+    doc = _partition_doc(6, 2, 3)
+    doc.update(edits)
+    path = tmp_path / "bad_keys.json"
     path.write_text(json.dumps(doc))
     return path
 
@@ -476,6 +485,24 @@ BAD_INPUTS = {
         "eval", "--partition", str(_partition_with_first_edge(tmp, [1.9, "2"]))],
     "eval-params-s-string": lambda tmp: [
         "eval", "--partition", str(_partition_with_params(tmp, s="2"))],
+    "eval-params-s-float": lambda tmp: [
+        "eval", "--partition", str(_partition_with_params(tmp, s=2.0))],
+    "verify-params-s-float": lambda tmp: [
+        "verify", "--partition", str(_partition_with_params(tmp, s=2.0))],
+    "eval-case-bogus": lambda tmp: [
+        "eval", "--partition", str(_partition_with_keys(tmp, case="bogus"))],
+    "verify-case-bogus": lambda tmp: [
+        "verify", "--partition", str(_partition_with_keys(tmp, case="bogus"))],
+    "eval-format-version-true": lambda tmp: [
+        "eval", "--partition", str(_partition_with_keys(tmp, format_version=True))],
+    "verify-format-version-float": lambda tmp: [
+        "verify", "--partition", str(_partition_with_keys(tmp, format_version=1.0))],
+    # refused before the N groups are allocated
+    "partition-workers-beyond-the-cap": lambda tmp: [
+        "partition", "--n", "6", "--d", "2", "--workers", "1000000000000"],
+    "montecarlo-workers-beyond-the-cap": lambda tmp: [
+        "montecarlo", "--n", "6", "--d", "2", "--workers", "1000000000000", "--phi", "0.5",
+        "--trials", "1", "--seed", "3"],
     "eval-tasks-phi-not-a-number": lambda tmp: _eval_tasks_argv(tmp, "phi: zz"),
     "eval-tasks-seed-not-an-integer": lambda tmp: _eval_tasks_argv(tmp, "seed: abc"),
     "eval-tasks-on-baseline-partition": lambda tmp: [

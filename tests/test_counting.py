@@ -12,6 +12,7 @@ from ic_alloc.counting import (
     beta_range_interior,
     block_bounds,
     block_index,
+    block_slices,
     card_C_beta,
     card_R_beta_I,
     m_beta,
@@ -200,8 +201,11 @@ def _check_tiling(t, m):
     q, r = divmod(t, m)
     cursor = 1
     bigger = 0
+    slices = block_slices(list(range(1, t + 1)), m)
+    assert len(slices) == m
     for j in range(1, m + 1):
         start, end = block_bounds(t, m, j)
+        assert slices[j - 1] == list(range(start, end + 1))
         size = end - start + 1
         if size > 0:
             assert start == cursor
@@ -216,7 +220,7 @@ def _check_tiling(t, m):
 
 def test_block_tiling_exhaustive_small():
     for t in range(1, 121):
-        for m in range(1, t + 1):
+        for m in range(1, t + 3):  # m > t has empty blocks
             _check_tiling(t, m)
 
 

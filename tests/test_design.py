@@ -250,9 +250,12 @@ def test_base_partition_extension_slices():
 
 
 def test_materialization_cap():
-    # C(600, 3) = 35.8M is over the 10^7 cap: refused before any allocation
+    # C(600, 3) = 35.8M tuples, or 10^12 groups, is over the 10^7 cap:
+    # refused before any allocation
     with pytest.raises(InstanceTooLarge):
         build_base_partition(derive_parameters(600, 3, 200))
+    with pytest.raises(InstanceTooLarge, match="N = 1000000000000 groups"):
+        build_base_partition(derive_parameters(6, 2, 10**12))
 
 
 # --- partition-level invariants ----------------------------------------------

@@ -328,11 +328,22 @@ def _doc_6_2_3():
         lambda doc: doc.__setitem__("N", 3.0),
         lambda doc: doc.__setitem__("d", "2"),
         lambda doc: doc["groups"].__setitem__(0, 5),
+        # each == the value derive_parameters gives, so only a type check refuses it
+        lambda doc: doc["params"].__setitem__("s", 2.0),
+        lambda doc: doc["params"].__setitem__("p", True),
+        lambda doc: doc["params"].__setitem__("k_capped", 0),
+        lambda doc: doc.__setitem__("format_version", True),
+        lambda doc: doc.__setitem__("format_version", 1.0),
+        # the top-level case must be params.case, or null without params
+        lambda doc: doc.__setitem__("case", "bogus"),
+        lambda doc: doc.__setitem__("params", None),
     ],
     ids=[
         "float-and-string", "true-and-float", "float", "string-edge",
         "true-footprint", "float-footprint", "float-N", "string-d",
-        "group-not-a-list",
+        "group-not-a-list", "float-params-s", "true-params-p", "int-params-k_capped",
+        "true-format_version", "float-format_version", "bogus-case",
+        "case-without-params",
     ],
 )
 def test_parse_partition_refuses_non_integers(edit):
@@ -358,14 +369,16 @@ def test_sweep_record_fields_follow_the_csv_columns():
 
 
 def test_csv_rows_include_skips():
-    records = sweep([(6, 2, 3, 1.0, 0), (6, 2, 6, 1.0, 0)])
+    # N = 6 has no family size; 10^12 groups are over the materialization cap
+    records = sweep([(6, 2, 3, 1.0, 0), (6, 2, 6, 1.0, 0), (6, 2, 10**12, 1.0, 0)])
     text = emit_sweep_csv(records)
     lines = text.strip().split("\n")
-    assert len(lines) == 3
+    assert len(lines) == 4
     good = lines[1].split(",")
     assert good[0] == "6" and good[9] == "4" and good[-1] == "true"
-    skip = lines[2].split(",")
-    assert skip[5] == "unsupported" and skip[9] == "" and skip[-1] == ""
+    for line in lines[2:]:
+        skip = line.split(",")
+        assert skip[5] == "unsupported" and skip[9] == "" and skip[-1] == ""
 
 
 # --- byte-identity goldens ----------------------------------------------------

@@ -23,16 +23,14 @@ a value below 2**64 between steps, so no lane spills into its neighbour:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, compress
 
 from .combinatorics import _rank, binomial, enumerate_lex
 from .counting import block_slices
 from .design import Partition, _own_placement
 from .errors import InvalidArgument, InvalidPhi
-from .tasks import TaskSet
-
-GENERATOR_ID = "splitmix64-v1"
+from .records import Record
+from .tasks import GENERATOR_ID, TaskSet
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -81,8 +79,7 @@ def _keep_flags(seed: int, threshold: int, count: int):
         yield (below - x).to_bytes(_LANES * _LANE_BYTES, "little")[8::_LANE_BYTES]
 
 
-@dataclass(frozen=True)
-class ThinningSpec:
+class ThinningSpec(Record):
     """Sampling probability and seed.  Identical (phi, seed, n, d) reproduce
     the identical task set bit-for-bit under GENERATOR_ID."""
 

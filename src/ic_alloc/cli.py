@@ -2,7 +2,7 @@
 
 Every subcommand prints machine-readable output (JSON, or the native text
 format of the artifact it produces) on stdout and diagnostics on stderr,
-and exits 0 only on full success.
+and exits 0 only on full success.  Each handler imports only what it runs.
 """
 
 from __future__ import annotations
@@ -13,21 +13,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from .baselines import ThinningSpec, thin
-from .design import _derive, build_base_partition, derive_parameters, refine
 from .errors import ICAllocError, InvalidArgument, SchemaError
-from .formats import (
-    emit_partition,
-    emit_sweep_csv,
-    emit_tasks,
-    parse_partition,
-    parse_tasks,
-)
-from .harness import grid_points, monte_carlo_delta, simulate_rounds, sweep
-from .metrics import full_report
-from .oracle import DEFAULT_EDGE_CAP, brute_force_pi_star
-from .tasks import TaskSet
-from .verify import run_invariant_checks
 
 
 def _diag(msg: str) -> None:
@@ -47,11 +33,14 @@ def _emit(text: str, out: str | None) -> None:
         print(json.dumps({"out": out, "bytes": len(text)}))
 
 
-def _read_tasks(path: str) -> TaskSet:
+def _read_tasks(path: str):
+    from .formats import parse_tasks
     return parse_tasks(Path(path).read_text())
 
 
 def cmd_partition(args) -> int:
+    from .design import build_base_partition, derive_parameters, refine
+    from .formats import emit_partition
     params = derive_parameters(args.n, args.d, args.workers)
     fp = build_base_partition(params)
     if args.tasks is not None:
@@ -65,6 +54,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_thin(args) -> int:
+    from .baselines import ThinningSpec, thin
+    from .formats import emit_tasks
     tasks = thin(args.n, args.d, ThinningSpec(phi=args.phi, seed=args.seed))
     _diag(f"kept {len(tasks)} of C({args.n},{args.d}) tuples")
     _emit(emit_tasks(tasks), args.out)
@@ -72,6 +63,9 @@ def cmd_thin(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .design import _derive, refine
+    from .formats import parse_partition
+    from .metrics import full_report
     fp = parse_partition(Path(args.partition).read_text())
     if fp.params is not None and fp.params != _derive(fp.n, fp.d, fp.N):
         raise SchemaError("stored params differ from those derived from (n, d, N)")
@@ -86,6 +80,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .formats import parse_partition
+    from .verify import run_invariant_checks
     fp = parse_partition(Path(args.partition).read_text())
     checks = run_invariant_checks(fp)
     ok = all(c.ok for c in checks)
@@ -96,8 +92,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bruteforce(args) -> int:
+    from .oracle import DEFAULT_EDGE_CAP, brute_force_pi_star
     tasks = _read_tasks(args.tasks)
-    pi_star, witness = brute_force_pi_star(tasks, args.workers, edge_cap=args.edge_cap)
+    edge_cap = DEFAULT_EDGE_CAP if args.edge_cap is None else args.edge_cap
+    pi_star, witness = brute_force_pi_star(tasks, args.workers, edge_cap=edge_cap)
     print(
         json.dumps(
             {
@@ -111,6 +109,7 @@ def cmd_bruteforce(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
+    from .harness import monte_carlo_delta
     summary = monte_carlo_delta(
         args.n, args.d, args.workers, args.phi, args.trials, args.seed
     )
@@ -119,6 +118,8 @@ def cmd_montecarlo(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .formats import emit_sweep_csv
+    from .harness import grid_points, sweep
     try:
         axes = json.loads(Path(args.grid).read_text())
     except json.JSONDecodeError as exc:
@@ -136,6 +137,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .baselines import ThinningSpec
+    from .harness import simulate_rounds
     try:
         phis = [float(x) for x in args.phi_list.split(",")]
     except ValueError:
@@ -191,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", required=True)
     # its own --workers, not ndw's, so that the usage line keeps it after --tasks
     p.add_argument("--workers", type=int, required=True)
-    p.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_CAP)
+    p.add_argument("--edge-cap", type=int, default=None)  # None: the oracle's default cap
     p.set_defaults(func=cmd_bruteforce)
 
     p = sub.add_parser("montecarlo", parents=[ndw], help="seeded trials of the balance guarantee")

@@ -11,7 +11,6 @@ support size.  All counts are exact integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .combinatorics import binomial
 from .errors import (
@@ -20,6 +19,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidPhi,
 )
+from .records import Record
 
 
 def _covering_d_from(size: int, beta: int, d: int) -> int:
@@ -119,8 +119,7 @@ def block_index(t: int, m: int, position: int) -> int:
     return r + (position - boundary - 1) // q + 1
 
 
-@dataclass(frozen=True)
-class PhiMinResult:
+class PhiMinResult(Record):
     """Density threshold plus a flag telling whether it exceeds 1, in which
     case the high-probability balance guarantee is silent."""
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, product, starmap
 from operator import add
@@ -44,6 +43,7 @@ from .errors import (
     ParameterRegimeWarning,
     UnsupportedParameters,
 )
+from .records import Record
 from .tasks import TaskSet
 
 DIVISIBLE = "divisible"
@@ -52,8 +52,7 @@ NONDIVISIBLE = "nondivisible"
 DEFAULT_MATERIALIZE_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class ICParameters:
+class ICParameters(Record):
     """Every derived constant of the construction for one (n, d, N)."""
 
     n: int
@@ -83,8 +82,7 @@ class ICParameters:
 
 # SupportInfo and support_of are kept for the benchmark under perfbench/,
 # which tags routed tuples with them; the library itself routes by Router.
-@dataclass(frozen=True)
-class SupportInfo:
+class SupportInfo(Record):
     """Support of one tuple: the families it touches, their count, and how
     many of its elements fall in the excluded tail."""
 
@@ -93,8 +91,7 @@ class SupportInfo:
     excluded_count: int
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """A partition of a task set X into N groups plus the blind file
     placement: placement[b] is the files worker b holds, a superset of
     group b's own footprint.
@@ -457,9 +454,11 @@ def refine(base: Partition, tasks: TaskSet) -> Partition:
 def eligible_placement(params: ICParameters) -> tuple[tuple[int, ...], ...]:
     """Closed-form placement upper bound: group b may only ever touch the
     files of its parent label's families plus the excluded tail.  Used by
-    the streaming path, where exact footprints would require
-    materialization.  Groups that share a label share one tuple, and
-    every tuple shares the file objects of the family tuples."""
+    the streaming path, where exact footprints would require materialization
+    (an N over DEFAULT_MATERIALIZE_CAP is refused first).  Groups that share
+    a label share one tuple, and every tuple shares the family tuples' files."""
+    if params.N > DEFAULT_MATERIALIZE_CAP:
+        raise InstanceTooLarge(f"N = {params.N} groups exceeds the cap {DEFAULT_MATERIALIZE_CAP}")
     families = build_families(params)
     tail = params.excluded
     per_label = [
@@ -473,19 +472,20 @@ def assign_tasks(params: ICParameters, tasks: TaskSet) -> Partition:
     """Streaming refinement: route every edge of X with the parameters'
     Router, never materializing the base partition.  The reported placement
     is the eligible-files bound, a valid (slightly conservative) blind
-    placement."""
+    placement.  An N over DEFAULT_MATERIALIZE_CAP is refused first."""
     if tasks.n != params.n or tasks.d != params.d:
         raise DimensionMismatch(
             f"tasks are ({tasks.n},{tasks.d}) but parameters are "
             f"({params.n},{params.d})"
         )
+    placement = eligible_placement(params)
     rt = router(params)
     groups: list[list[DTuple]] = [[] for _ in range(params.N)]
     for e in tasks.edges:  # canonical by the TaskSet contract; not validated again
         groups[rt.route(e) - 1].append(e)
     return Partition(
-        params.n, params.d, tuple(tuple(g) for g in groups), eligible_placement(params),
-        params, _task_metadata(tasks),
+        params.n, params.d, tuple(tuple(g) for g in groups), placement, params,
+        _task_metadata(tasks),
     )
 
 

@@ -19,7 +19,6 @@ from typing import get_args, get_type_hints
 
 from .design import ICParameters, Partition
 from .errors import DuplicateEdge, IndexOutOfBounds, ParseError, SchemaError
-from .harness import SweepRecord
 from .tasks import TaskSet
 
 FORMAT_VERSION = 1
@@ -199,6 +198,8 @@ def parse_partition(text: str) -> Partition:
         raise SchemaError(f"missing keys: {sorted(missing)}")
     if doc["format_version"] != FORMAT_VERSION or type(doc["format_version"]) is not int:
         raise SchemaError(f"unsupported format_version {doc['format_version']!r}")
+    if doc["metadata"] is not None and not isinstance(doc["metadata"], dict):
+        raise SchemaError("metadata must be an object or null")
     params = None
     if doc["params"] is not None:
         try:
@@ -247,9 +248,9 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def emit_sweep_csv(records: list[SweepRecord]) -> str:
-    """Fixed-column CSV for sweep results; unsupported points keep their
-    identifying columns and leave the metrics empty."""
+def emit_sweep_csv(records: list) -> str:
+    """Fixed-column CSV for sweep results (SweepRecords); unsupported points
+    keep their identifying columns and leave the metrics empty."""
     lines = [",".join(SWEEP_COLUMNS)]
     for r in records:
         # a record's fields start with the columns, in their order

@@ -9,7 +9,6 @@ run in any order or in parallel with identical results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .baselines import ThinningSpec, thin, tuple_draw
@@ -17,6 +16,7 @@ from .counting import phi_min, pi_lower_bound
 from .design import _within_placement, build_base_partition, derive_parameters, refine
 from .errors import DegenerateDenominator, ICAllocError, InvalidArgument, SchemaError
 from .metrics import CostReport, delta_of, full_report
+from .records import Record
 
 
 def trial_seed(master_seed: int, index: int) -> int:
@@ -24,8 +24,7 @@ def trial_seed(master_seed: int, index: int) -> int:
     return tuple_draw(master_seed, index + 1)
 
 
-@dataclass(frozen=True)
-class MonteCarloSummary:
+class MonteCarloSummary(Record):
     n: int
     d: int
     N: int
@@ -38,9 +37,6 @@ class MonteCarloSummary:
     max_delta: float
     phi_min: float | None
     vacuous: bool
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def monte_carlo_delta(
@@ -83,8 +79,7 @@ def monte_carlo_delta(
     )
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(Record):
     """One sweep row.  Its fields up to bounds_ok are the CSV columns, in
     column order (delta_x is the column delta_X)."""
 
@@ -171,8 +166,7 @@ def sweep(points) -> list[SweepRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(Record):
     """Per-round cost reports plus the blind-allocation verdict."""
 
     reports: tuple[CostReport, ...]

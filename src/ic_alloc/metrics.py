@@ -9,12 +9,13 @@ inequalities are compared exactly)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .combinatorics import binomial
 from .counting import phi_min, pi_lower_bound, pi_lower_bound_int
 from .errors import DegenerateDenominator
 from .design import DIVISIBLE, ICParameters, Partition, footprint
+from .records import Record
+from .tasks import GENERATOR_ID
 
 TOL = 1e-9
 
@@ -44,8 +45,7 @@ def arf_of(p: Partition) -> float:
     return sum(_footprint_sizes(p)) / p.n
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(Record):
     """One promised inequality: its value, whether this partition is in its
     scope, and whether it holds."""
 
@@ -55,12 +55,8 @@ class BoundCheck:
     satisfied: bool | None
     detail: str = ""
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
-
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(Record):
     """Every metric of one partition plus the applicable promised bounds."""
 
     n: int
@@ -75,7 +71,7 @@ class CostReport:
     pi_lb: float
     pi_lb_int: int
     gap: float
-    bounds: tuple[BoundCheck, ...] = field(default_factory=tuple)
+    bounds: tuple[BoundCheck, ...] = ()
 
     @property
     def bounds_ok(self) -> bool:
@@ -105,7 +101,9 @@ def promised_bounds(
     pi: int,
     delta: float,
     arf: float,
+    random_x: bool,
 ) -> list[BoundCheck]:
+    """The construction's cost bounds; delta_X <= 5 only for a random X (random_x)."""
     n, d, N = params.n, params.d, params.N
     checks: list[BoundCheck] = []
 
@@ -139,10 +137,11 @@ def promised_bounds(
         pm = phi_min(n, d, N)
         checks.append(
             BoundCheck(
-                "delta_x_le_5", 5.0, regime and not pm.vacuous and phi >= pm.value,
+                "delta_x_le_5", 5.0, random_x and regime and not pm.vacuous and phi >= pm.value,
                 delta <= 5.0 + TOL,
                 f"high-probability balance (phi_min={pm.value:.6g}"
-                f"{', vacuous' if pm.vacuous else ''}); holds w.p. >= 1 - 1/n",
+                f"{', vacuous' if pm.vacuous else ''}); holds w.p. >= 1 - 1/n" if random_x
+                else "X is not a random thinning",
             )
         )
     except DegenerateDenominator:
@@ -217,7 +216,9 @@ def full_report(
         )
     )
     if params is not None:
-        checks.extend(promised_bounds(params, phi, pi, delta, arf))
+        random_x = (task_count == binomial(n, d)
+                    or (p.metadata or {}).get("generator_id") == GENERATOR_ID)
+        checks.extend(promised_bounds(params, phi, pi, delta, arf, random_x))
 
     return CostReport(
         n=n,

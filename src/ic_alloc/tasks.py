@@ -3,15 +3,16 @@ lexicographic order, plus the sampling metadata that produced it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .combinatorics import DTuple, enumerate_lex, validate_dtuple
 from .errors import DuplicateEdge, InvalidDimensions
+from .records import Record
+
+GENERATOR_ID = "splitmix64-v1"  # the thinning generator, named by each X it draws
 
 
-@dataclass(frozen=True)
-class TaskSet:
+class TaskSet(Record):
     """An edge set X over n files, every edge a strictly increasing
     d-tuple, stored sorted lexicographically with no duplicates.
 

@@ -4,7 +4,6 @@ bounds.  Used by the `verify` CLI subcommand."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 
 from .combinatorics import binomial, validate_dtuple
@@ -17,16 +16,13 @@ from .design import (
 )
 from .errors import ICAllocError
 from .metrics import full_report
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     name: str
     ok: bool
     detail: str = ""
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 def _malformed(t, n: int, d: int) -> bool:

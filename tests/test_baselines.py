@@ -1,7 +1,6 @@
 import hashlib
 import math
 import statistics
-from dataclasses import replace
 
 import pytest
 
@@ -16,6 +15,7 @@ from ic_alloc.baselines import (
 )
 from ic_alloc.combinatorics import binomial, enumerate_lex
 from ic_alloc.design import (
+    Partition,
     build_base_partition,
     derive_parameters,
     partition_from_groups,
@@ -195,6 +195,6 @@ def test_baselines_equal_validated_partition_of_their_groups(N):
     # equal what the validating constructor makes of the same groups
     tasks = thin(30, 3, ThinningSpec(phi=0.3, seed=11))
     for fp in (lex_partition(tasks, N), random_partition(tasks, N, seed=3)):
-        assert fp == replace(partition_from_groups(tasks.n, tasks.d, fp.groups),
-                             metadata=fp.metadata)
+        validated = partition_from_groups(tasks.n, tasks.d, fp.groups)
+        assert fp == Partition(**{**validated.__dict__, "metadata": fp.metadata})
         assert sum(len(g) for g in fp.groups) == len(tasks)

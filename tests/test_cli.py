@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,27 @@ def test_partition_warns_about_the_regime_once(n, warnings_expected, tmp_path):
     # one line that names no source location
     assert ".py:" not in proc.stderr, proc.stderr
     assert proc.stderr.count("\n") == 1 + warnings_expected, proc.stderr
+
+
+def test_structured_task_set_is_outside_the_random_balance_bound(tmp_path, capsys):
+    # every 3-subset of files 1..64 at n=96: density 0.292 is over phi_min =
+    # 0.176, but X is not a random thinning, and its delta_X = 5.14 is over
+    # the bound that is promised for random X only; pi <= s*d still holds
+    tasks, part = tmp_path / "x.txt", tmp_path / "p.json"
+    tasks.write_text(emit_tasks(TaskSet.from_edges(96, 3, combinations(range(1, 65), 3))))
+    code, _, _ = run(capsys, "partition", "--n", "96", "--d", "3", "--workers", "30",
+                     "--tasks", str(tasks), "--out", str(part))
+    assert code == 0
+    code, out, _ = run(capsys, "eval", "--partition", str(part))
+    report = json.loads(out)
+    bounds = {b["name"]: b for b in report["bounds"]}
+    assert code == 0 and report["bounds_ok"] is True
+    assert round(report["delta"], 2) == 5.14
+    assert bounds["delta_x_le_5"]["applicable"] is False
+    assert bounds["delta_x_le_5"]["detail"] == "X is not a random thinning"
+    assert bounds["pi_le_sd"]["applicable"] and bounds["pi_le_sd"]["satisfied"]
+    code, out, _ = run(capsys, "verify", "--partition", str(part))
+    assert code == 0 and json.loads(out)["ok"] is True
 
 
 def test_thin_round_trip(tmp_path, capsys):
@@ -497,6 +519,10 @@ BAD_INPUTS = {
         "eval", "--partition", str(_partition_with_keys(tmp, format_version=True))],
     "verify-format-version-float": lambda tmp: [
         "verify", "--partition", str(_partition_with_keys(tmp, format_version=1.0))],
+    "eval-metadata-not-an-object": lambda tmp: [
+        "eval", "--partition", str(_partition_with_keys(tmp, metadata=[1]))],
+    "verify-metadata-not-an-object": lambda tmp: [
+        "verify", "--partition", str(_partition_with_keys(tmp, metadata=5))],
     # refused before the N groups are allocated
     "partition-workers-beyond-the-cap": lambda tmp: [
         "partition", "--n", "6", "--d", "2", "--workers", "1000000000000"],

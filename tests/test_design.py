@@ -1,6 +1,9 @@
 import gc
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -256,6 +259,34 @@ def test_materialization_cap():
         build_base_partition(derive_parameters(600, 3, 200))
     with pytest.raises(InstanceTooLarge, match="N = 1000000000000 groups"):
         build_base_partition(derive_parameters(6, 2, 10**12))
+
+
+def test_streaming_refuses_an_n_over_the_cap_before_allocating():
+    # in a child limited to 1 GB of address space, so that a missing check
+    # ends in MemoryError rather than in one list entry per group for 10^12
+    # groups; the refusal itself takes well under a second
+    code = """if True:
+        import resource, time
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+        from ic_alloc.design import assign_tasks, derive_parameters, eligible_placement
+        from ic_alloc.errors import InstanceTooLarge
+        from ic_alloc.tasks import TaskSet
+        params = derive_parameters(6, 2, 10**12)
+        for call in (lambda: assign_tasks(params, TaskSet.from_edges(6, 2, [(1, 2)])),
+                     lambda: eligible_placement(params)):
+            start = time.perf_counter()
+            try:
+                call()
+            except InstanceTooLarge as exc:
+                assert "N = 1000000000000 groups" in str(exc), exc
+            else:
+                raise AssertionError("no InstanceTooLarge")
+            assert time.perf_counter() - start < 1.0
+    """
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # --- partition-level invariants ----------------------------------------------

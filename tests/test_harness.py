@@ -1,11 +1,10 @@
 import math
-from dataclasses import replace
 
 import pytest
 
 from ic_alloc import harness
 from ic_alloc.baselines import ThinningSpec
-from ic_alloc.design import footprint, refine
+from ic_alloc.design import Partition, footprint, refine
 from ic_alloc.errors import SchemaError
 from ic_alloc.formats import emit_sweep_csv
 from ic_alloc.harness import (
@@ -161,7 +160,7 @@ def test_simulate_rounds_fails_when_the_placement_follows_the_tasks(monkeypatch)
     # round leaves most of a group's files unused, so its placement shrinks
     def leaky_refine(base, tasks):
         fp = refine(base, tasks)
-        return replace(fp, placement=tuple(footprint(g) for g in fp.groups))
+        return Partition(**{**fp.__dict__, "placement": tuple(footprint(g) for g in fp.groups)})
 
     specs = [ThinningSpec(phi=0.02, seed=1), ThinningSpec(phi=0.02, seed=2)]
     assert simulate_rounds(60, 2, 6, specs).verdict == "PASS"

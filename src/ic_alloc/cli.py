@@ -8,6 +8,7 @@ and exits 0 only on full success.  Each handler imports only what it runs.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import warnings
@@ -221,6 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Handlers build large acyclic data (tuples, lists, parsed JSON) that
+    # reference counting frees; collector passes over it only cost time.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         with warnings.catch_warnings():
             warnings.showwarning = _show_warning
@@ -231,6 +236,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         _diag(f"io error: {exc}")
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

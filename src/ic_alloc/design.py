@@ -251,7 +251,8 @@ def build_base_partition(params: ICParameters) -> Partition:
     if max(total, params.N) > DEFAULT_MATERIALIZE_CAP:
         raise InstanceTooLarge(
             f"C({params.n},{params.d}) = {total} tuples or N = {params.N} groups exceeds "
-            f"the materialization cap {DEFAULT_MATERIALIZE_CAP}; use the streaming interface"
+            f"the materialization cap {DEFAULT_MATERIALIZE_CAP}; the CLI materializes, and "
+            "only the library calls assign_base_group and assign_tasks stream"
         )
     out: list[tuple[DTuple, ...]] = [()] * params.N  # slice j of label b0 (from 0): b0 + j * N'
     for b0, members in enumerate(_prime_partition(params.n, params.d, params.k)):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ic_alloc import verify
+from ic_alloc import cli, verify
 from ic_alloc.baselines import ThinningSpec, lex_partition, thin
 from ic_alloc.cli import main
 from ic_alloc.design import _prime_partition, build_base_partition, derive_parameters
@@ -300,6 +301,99 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["partition", "--n", "6"])
     assert exc.value.code == 2
+
+
+def test_instance_past_the_materialization_cap_names_the_streaming_calls(capsys):
+    code, _, err = run(capsys, "partition", "--n", "600", "--d", "3", "--workers", "200")
+    assert code == 1
+    assert err.startswith("error: C(600,3) = 35820200 tuples") and err.count("\n") == 1, err
+    assert err.rstrip().endswith(
+        "the CLI materializes, and only the library calls assign_base_group "
+        "and assign_tasks stream"
+    ), err
+
+
+# main runs each handler with the cyclic collector off; it must give the
+# caller's collector state back on every way out: (argv, handler, exit)
+COLLECTOR_EXITS = {
+    "exit-0": (["thin", "--n", "6", "--d", "2", "--phi", "0.5", "--seed", "1"], "cmd_thin", 0),
+    "ic-alloc-error": (
+        ["partition", "--n", "6", "--d", "2", "--workers", "6"], "cmd_partition", 1),
+    "os-error": (["eval", "--partition", "/nonexistent/x.json"], "cmd_eval", 1),
+    "help": (["partition", "--help"], None, None),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", list(COLLECTOR_EXITS))
+def test_main_restores_the_collector_state(case, enabled, monkeypatch, capsys):
+    argv, handler, expected = COLLECTOR_EXITS[case]
+    seen = []
+    if handler is not None:
+        original = getattr(cli, handler)
+
+        def recording(args):
+            seen.append(gc.isenabled())
+            return original(args)
+
+        monkeypatch.setattr(cli, handler, recording)
+    before = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if expected is None:
+            with pytest.raises(SystemExit):
+                main(argv)
+        else:
+            assert main(argv) == expected
+        after = gc.isenabled()
+    finally:
+        (gc.enable if before else gc.disable)()
+    capsys.readouterr()
+    assert after is enabled
+    assert seen == ([] if handler is None else [False])
+
+
+def _grid_file(tmp, points):
+    grid = tmp / f"grid{points}.json"
+    grid.write_text(json.dumps(
+        {"n": [20], "d": [2], "N": [3], "phi": [0.5], "seed": list(range(points))}))
+    return str(grid)
+
+
+# a small run and one with 5x the trials, rounds or grid points
+GROWING_RUNS = {
+    "montecarlo": lambda tmp, k: [
+        "montecarlo", "--n", "30", "--d", "2", "--workers", "5", "--phi", "0.5",
+        "--trials", str(k), "--seed", "3"],
+    "simulate": lambda tmp, k: [
+        "simulate", "--n", "20", "--d", "2", "--workers", "3", "--rounds", str(k),
+        "--phi-list", "0.3,0.6,1.0", "--seed", "5"],
+    "sweep": lambda tmp, k: [
+        "sweep", "--grid", _grid_file(tmp, k), "--out", str(tmp / "out.csv")],
+}
+
+
+def _cyclic_garbage_after(argv, capsys):
+    """Objects that only the cyclic collector could free after one main call."""
+    before = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        return gc.collect()
+    finally:
+        capsys.readouterr()
+        if before:
+            gc.enable()
+
+
+@pytest.mark.parametrize("command", list(GROWING_RUNS))
+def test_handlers_leave_no_cycles_that_grow_with_their_work(command, tmp_path, capsys):
+    # what licenses running handlers without the collector: the garbage they
+    # leave in cycles (argparse's parser) does not grow with their work
+    small, large = (GROWING_RUNS[command](tmp_path, k) for k in (2, 10))
+    _cyclic_garbage_after(small, capsys)  # imports and caches first
+    assert _cyclic_garbage_after(small, capsys) == _cyclic_garbage_after(large, capsys)
 
 
 def test_eval_tasks_and_verify_stdout_golden(tmp_path, capsys):

@@ -1,7 +1,10 @@
 import math
 import random
+from itertools import combinations
 
-from ic_alloc.baselines import random_partition
+import pytest
+
+from ic_alloc.baselines import ThinningSpec, random_partition, thin
 from ic_alloc.design import (
     build_base_partition,
     derive_parameters,
@@ -121,3 +124,56 @@ def test_baseline_report_has_no_construction_bounds():
     names = {b.name for b in report.bounds}
     assert "pi_le_sd" not in names and "pi_le_s0d_plus_g" not in names
     assert report.bounds_ok  # the universal checks hold for any valid partition
+
+
+# The README's table of structured task sets: the blind construction's
+# delta_X for each family, as (|X|, largest refined group, delta_X rounded as
+# the README shows it).  delta_X = largest / ceil(|X| / N), so the two counts
+# pin it exactly.
+STRUCTURED_X = {
+    (96, 30): {
+        "random thinning, phi=0.3": (42796, 2188, 1.53),
+        "every tuple inside files 1..64": (41664, 7144, 5.14),
+        "window: t_d - t_1 < 48": (69184, 7144, 3.10),
+        "star: t_1 <= 8": (33144, 3572, 3.23),
+        "one file from each third of [n]": (32768, 4096, 3.75),
+        "sum of t even": (71440, 3575, 1.50),
+    },
+    (121, 40): {
+        "random thinning, phi=0.3": (86132, 2537, 1.18),
+        "every tuple inside files 1..64": (41664, 3472, 3.33),
+        "window: t_d - t_1 < 48": (96209, 7239, 3.01),
+        "star: t_1 <= 8": (53844, 4744, 3.52),
+        "one file from each third of [n]": (65600, 3119, 1.90),
+        "sum of t even": (144020, 4130, 1.15),
+    },
+}
+
+
+def _structured_families(n):
+    thirds = [(1 + n * i // 3, n * (i + 1) // 3) for i in range(3)]
+    keep = {
+        "every tuple inside files 1..64": lambda t: t[2] <= 64,
+        "window: t_d - t_1 < 48": lambda t: t[2] - t[0] < 48,
+        "star: t_1 <= 8": lambda t: t[0] <= 8,
+        "one file from each third of [n]": lambda t: all(
+            lo <= x <= hi for x, (lo, hi) in zip(t, thirds)),
+        "sum of t even": lambda t: sum(t) % 2 == 0,
+    }
+    yield "random thinning, phi=0.3", thin(n, 3, ThinningSpec(phi=0.3, seed=1))
+    for name, wanted in keep.items():
+        yield name, TaskSet.from_edges(n, 3, filter(wanted, combinations(range(1, n + 1), 3)))
+
+
+@pytest.mark.parametrize("n, N", list(STRUCTURED_X))
+def test_structured_task_sets_delta_x(n, N):
+    params = derive_parameters(n, 3, N)
+    base = build_base_partition(params)
+    for name, tasks in _structured_families(n):
+        size, largest, shown = STRUCTURED_X[n, N][name]
+        refined = refine(base, tasks)
+        assert (len(tasks), max(map(len, refined.groups))) == (size, largest), name
+        assert delta_of(refined) == largest / math.ceil(size / N), name
+        assert round(delta_of(refined), 2) == shown, name
+        # the placement ignores X: pi keeps its bound on every family
+        assert full_report(refined, params).bounds_ok, name

@@ -227,6 +227,8 @@ def parse_partition(text: str) -> Partition:
         names = sorted(t.__name__ for t in bad)
         raise SchemaError(f"file indices and n, d, N must be integers, found {names}")
     n, d, N = doc["n"], doc["d"], doc["N"]
+    if not 1 <= d <= n or N < 1:
+        raise SchemaError(f"need 1 <= d <= n and N >= 1, got n={n} d={d} N={N}")
     if len(groups) != N or len(placement) != N:
         raise SchemaError(
             f"N={N} but {len(groups)} groups / {len(placement)} footprints"

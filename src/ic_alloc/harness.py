@@ -24,6 +24,15 @@ def trial_seed(master_seed: int, index: int) -> int:
     return tuple_draw(master_seed, index + 1)
 
 
+def _refined(n: int, d: int, N: int, specs):
+    """Derive and build the construction once; return its parameters, the
+    base partition and a generator of the base refined by each spec's
+    thinning, so only one refined partition is alive at a time."""
+    params = derive_parameters(n, d, N)
+    base = build_base_partition(params)
+    return params, base, (refine(base, thin(n, d, spec)) for spec in specs)
+
+
 class MonteCarloSummary(Record):
     n: int
     d: int
@@ -46,7 +55,9 @@ def monte_carlo_delta(
     partition and summarize the observed balance factors."""
     if trials < 1:
         raise InvalidArgument(f"need trials >= 1, got {trials}")
-    base = build_base_partition(derive_parameters(n, d, N))
+    specs = [ThinningSpec(phi=phi, seed=trial_seed(master_seed, i)) for i in range(trials)]
+    _, _, refined = _refined(n, d, N, specs)
+    deltas = list(map(delta_of, refined))
 
     try:
         pm = phi_min(n, d, N)
@@ -55,14 +66,6 @@ def monte_carlo_delta(
         # threshold is undefined and the guarantee silent, but the trials
         # are still worth reporting
         pm = None
-    deltas: list[float] = []
-    ok = 0
-    for i in range(trials):
-        x = thin(n, d, ThinningSpec(phi=phi, seed=trial_seed(master_seed, i)))
-        delta = delta_of(refine(base, x))
-        deltas.append(delta)
-        if delta <= 5.0:
-            ok += 1
     return MonteCarloSummary(
         n=n,
         d=d,
@@ -70,7 +73,7 @@ def monte_carlo_delta(
         phi=phi,
         trials=trials,
         master_seed=master_seed,
-        fraction_delta_le_5=ok / trials,
+        fraction_delta_le_5=sum(delta <= 5.0 for delta in deltas) / trials,
         min_delta=min(deltas),
         mean_delta=sum(deltas) / len(deltas),
         max_delta=max(deltas),
@@ -104,8 +107,8 @@ class SweepRecord(Record):
 
 def grid_points(axes: dict) -> list[tuple[int, int, int, float, int]]:
     """Cartesian product of the grid axes n, d, N, phi, seed.  n, d and N
-    are required; phi defaults to [1.0] and seed to [0].  Every axis but
-    phi takes JSON integers only."""
+    are required; phi defaults to [1.0] and seed to [0].  phi takes numbers
+    in [0, 1], every other axis JSON integers only."""
     if not isinstance(axes, dict) or not {"n", "d", "N"} <= axes.keys():
         raise SchemaError("a sweep grid must be a JSON object with the axes n, d and N")
     axes = {"phi": [1.0], "seed": [0], **axes}
@@ -115,6 +118,8 @@ def grid_points(axes: dict) -> list[tuple[int, int, int, float, int]]:
         values = axes[name]
         if not isinstance(values, list) or not all(type(v) in kinds for v in values):
             raise SchemaError(f"sweep axis {name!r} must be a list of {what}, got {values!r}")
+    if not all(0.0 <= phi <= 1.0 for phi in axes["phi"]):  # false for NaN as well
+        raise SchemaError(f"sweep axis 'phi' must lie in [0, 1], got {axes['phi']!r}")
     return [
         (n, d, N, float(phi), seed)
         for n, d, N, phi, seed in product(*(axes[a] for a in names))
@@ -126,23 +131,15 @@ def sweep(points) -> list[SweepRecord]:
     skip records rather than failures."""
     records: list[SweepRecord] = []
     for n, d, N, phi, seed in points:
+        spec = ThinningSpec(phi=phi, seed=seed)  # phi is checked before the build
         try:
-            params = derive_parameters(n, d, N)
-            base = build_base_partition(params)
+            params, base, refined = _refined(n, d, N, [spec] if phi < 1.0 else [])
         except ICAllocError as exc:
-            records.append(
-                SweepRecord(
-                    n=n, d=d, N=N, phi=phi, seed=seed, case="unsupported",
-                    error=str(exc),
-                )
-            )
+            records.append(SweepRecord(n=n, d=d, N=N, phi=phi, seed=seed,
+                                       case="unsupported", error=str(exc)))
             continue
         full = full_report(base, params, 1.0)
-        if phi >= 1.0:
-            refined_report = full
-        else:
-            tasks = thin(n, d, ThinningSpec(phi=phi, seed=seed))
-            refined_report = full_report(refine(base, tasks), params, phi)
+        refined_report = next((full_report(fp, params, phi) for fp in refined), full)
         records.append(
             SweepRecord(
                 n=n,
@@ -194,15 +191,12 @@ def simulate_rounds(
     group only touches files its worker holds."""
     if not round_specs:
         raise InvalidArgument("need at least one round")
-    params = derive_parameters(n, d, N)
-    base = build_base_partition(params)
+    params, base, refined = _refined(n, d, N, round_specs)
     placement_pi = max((len(f) for f in base.placement), default=0)
 
     reports: list[CostReport] = []
     identical = feasible = True
-    for spec in round_specs:
-        tasks = thin(n, d, spec)
-        fp = refine(base, tasks)
+    for spec, fp in zip(round_specs, refined):
         identical = fp.placement == base.placement and identical
         feasible = _within_placement(fp) and feasible
         reports.append(full_report(fp, params, spec.phi))

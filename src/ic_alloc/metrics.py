@@ -107,16 +107,12 @@ def promised_bounds(
     n, d, N = params.n, params.d, params.N
     checks: list[BoundCheck] = []
 
+    cap = params.family_size * d + params.g  # g = 0 in the divisible case
     if params.case == DIVISIBLE:
-        cap = params.s * d
-        checks.append(
-            BoundCheck("pi_le_sd", cap, True, pi <= cap, "max footprint vs s*d")
-        )
+        name, formula = "pi_le_sd", "s*d"
     else:
-        cap = params.s0 * d + params.g
-        checks.append(
-            BoundCheck("pi_le_s0d_plus_g", cap, True, pi <= cap, "max footprint vs s0*d + g")
-        )
+        name, formula = "pi_le_s0d_plus_g", "s0*d + g"
+    checks.append(BoundCheck(name, cap, True, pi <= cap, f"max footprint vs {formula}"))
 
     regime = guarantee_regime(params)
     scaling = 4 * math.e * n / N ** (1.0 / d)

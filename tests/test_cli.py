@@ -9,12 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from ic_alloc import cli, verify
+from ic_alloc import cli, harness, verify
 from ic_alloc.baselines import ThinningSpec, lex_partition, thin
 from ic_alloc.cli import main
 from ic_alloc.design import _prime_partition, build_base_partition, derive_parameters
 from ic_alloc.errors import UnsupportedParameters
 from ic_alloc.formats import emit_partition, emit_tasks, parse_partition, parse_tasks
+from ic_alloc.harness import SweepRecord
 from ic_alloc.tasks import TaskSet
 
 EXAMPLE1_TEXT = "7 2 6\n1 2\n1 3\n2 3\n4 5\n3 6\n2 7\n"
@@ -313,6 +314,26 @@ def test_instance_past_the_materialization_cap_names_the_streaming_calls(capsys)
     ), err
 
 
+def test_montecarlo_refuses_phi_before_the_build(capsys):
+    # past the materialization cap, so a build would fail first and name the cap
+    code, _, err = run(
+        capsys, "montecarlo", "--n", "600", "--d", "3", "--workers", "200", "--phi", "1.5",
+        "--trials", "1", "--seed", "1",
+    )
+    assert code == 1
+    assert err == "error: phi must lie in [0, 1], got 1.5\n", err
+
+
+def test_sweep_bound_violation_exits_1_after_writing_the_csv(tmp_path, capsys, monkeypatch):
+    record = SweepRecord(n=6, d=2, N=3, phi=1.0, seed=0, case="divisible", bounds_ok=False)
+    monkeypatch.setattr(harness, "sweep", lambda points: [record])
+    argv = _sweep_argv(tmp_path, '{"n": [6], "d": [2], "N": [3]}')
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "BOUND VIOLATION at n=6 d=2 N=3 phi=1.0" in err and "error:" not in err
+    assert (tmp_path / "out.csv").read_text().splitlines()[1].startswith("6,2,3,1.0,0,divisible,")
+
+
 # main runs each handler with the cyclic collector off; it must give the
 # caller's collector state back on every way out: (argv, handler, exit)
 COLLECTOR_EXITS = {
@@ -552,6 +573,21 @@ def _partition_with_keys(tmp_path, **edits):
     return path
 
 
+def _partition_without_param(tmp_path, key):
+    doc = _partition_doc(6, 2, 3)
+    del doc["params"][key]
+    path = tmp_path / "missing_param.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _baseline_with_keys(tmp, **edits):
+    # a params-null file, which reaches the metrics without a derivation
+    path = Path(_baseline_partition(tmp, 7))
+    path.write_text(json.dumps({**json.loads(path.read_text()), **edits}))
+    return str(path)
+
+
 def _tasks_file(tmp, text):
     path = tmp / "tasks.txt"
     path.write_text(text)
@@ -593,6 +629,10 @@ BAD_INPUTS = {
     "sweep-grid-axis-not-numbers": lambda tmp: _sweep_argv(
         tmp, '{"n": [6], "d": ["2"], "N": [3]}'),
     "sweep-grid-not-json": lambda tmp: _sweep_argv(tmp, "{n: 6"),
+    "sweep-grid-phi-above-one": lambda tmp: _sweep_argv(
+        tmp, '{"n": [6], "d": [2], "N": [3], "phi": [1.5]}'),
+    "sweep-grid-phi-below-zero": lambda tmp: _sweep_argv(
+        tmp, '{"n": [6], "d": [2], "N": [3], "phi": [-0.5]}'),
     "sweep-grid-fractional-n": lambda tmp: _sweep_argv(
         tmp, '{"n": [40.7], "d": [2], "N": [3.9]}'),
     "verify-float-and-string-index": lambda tmp: [
@@ -605,6 +645,23 @@ BAD_INPUTS = {
         "eval", "--partition", str(_partition_with_params(tmp, s=2.0))],
     "verify-params-s-float": lambda tmp: [
         "verify", "--partition", str(_partition_with_params(tmp, s=2.0))],
+    "eval-params-missing-key": lambda tmp: [
+        "eval", "--partition", str(_partition_without_param(tmp, "q"))],
+    "verify-params-extra-key": lambda tmp: [
+        "verify", "--partition", str(_partition_with_params(tmp, extra=1))],
+    # the params have the right types, but no derivation gives them
+    "eval-params-differ-from-derived": lambda tmp: [
+        "eval", "--partition", str(_partition_with_params(tmp, q=2))],
+    "eval-N-differs-from-groups": lambda tmp: [
+        "eval", "--partition", str(_partition_with_keys(tmp, N=4))],
+    "eval-d-above-n": lambda tmp: ["eval", "--partition", _baseline_with_keys(tmp, d=8)],
+    "eval-d-zero": lambda tmp: ["eval", "--partition", _baseline_with_keys(tmp, d=0)],
+    "eval-N-zero": lambda tmp: [
+        "eval", "--partition", _baseline_with_keys(tmp, N=0, groups=[], footprints=[])],
+    "verify-d-above-n": lambda tmp: ["verify", "--partition", _baseline_with_keys(tmp, d=8)],
+    "verify-d-zero": lambda tmp: ["verify", "--partition", _baseline_with_keys(tmp, d=0)],
+    "verify-N-zero": lambda tmp: [
+        "verify", "--partition", _baseline_with_keys(tmp, N=0, groups=[], footprints=[])],
     "eval-case-bogus": lambda tmp: [
         "eval", "--partition", str(_partition_with_keys(tmp, case="bogus"))],
     "verify-case-bogus": lambda tmp: [

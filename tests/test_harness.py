@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from ic_alloc import harness
 from ic_alloc.baselines import ThinningSpec
 from ic_alloc.design import Partition, footprint, refine
-from ic_alloc.errors import SchemaError
+from ic_alloc.errors import InvalidPhi, SchemaError
 from ic_alloc.formats import emit_sweep_csv
 from ic_alloc.harness import (
     MonteCarloSummary,
@@ -74,12 +76,39 @@ def test_grid_points_cartesian_product():
 
 @pytest.mark.parametrize("axis", ["n", "d", "N", "seed"])
 def test_grid_points_refuses_non_integer_axes(axis):
-    # phi takes any number; the other axes only JSON integers, never rounded
+    # phi takes numbers in [0, 1]; the other axes only JSON integers, never rounded
     axes = {"n": [6], "d": [2], "N": [3], "phi": [1], "seed": [0]}
     assert grid_points(axes) == [(6, 2, 3, 1.0, 0)]
     for bad in (6.0, 40.7, True):
         with pytest.raises(SchemaError):
             grid_points({**axes, axis: [bad]})
+
+
+@pytest.mark.parametrize("phi", [1.5, -0.5, float("nan")])
+def test_grid_points_refuses_phi_outside_the_unit_interval(phi):
+    with pytest.raises(SchemaError, match="sweep axis 'phi' must lie in \\[0, 1\\]"):
+        grid_points({"n": [6], "d": [2], "N": [3], "phi": [0.5, phi]})
+
+
+@pytest.mark.parametrize("driver", [monte_carlo_delta, simulate_rounds, sweep])
+def test_drivers_leave_the_build_and_refinement_to_one_helper(driver):
+    calls = {node.func.id for node in ast.walk(ast.parse(inspect.getsource(driver)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "_refined" in calls
+    assert not calls & {"derive_parameters", "build_base_partition", "thin", "refine"}
+
+
+def test_phi_is_refused_before_the_build(monkeypatch):
+    def no_build(params):
+        raise AssertionError("built before phi was checked")
+
+    monkeypatch.setattr(harness, "build_base_partition", no_build)
+    with pytest.raises(InvalidPhi):
+        monte_carlo_delta(30, 2, 5, phi=-1.0, trials=2, master_seed=0)
+    # an unsupported instance too: the phi check comes before the skip record
+    for point in [(30, 2, 5, 1.5, 0), (6, 2, 6, -0.5, 0)]:
+        with pytest.raises(InvalidPhi):
+            sweep([point])
 
 
 def test_sweep_single_point_matches_worked_values():

@@ -64,17 +64,19 @@ def cmd_thin(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .design import _derive, refine
+    from .design import derive_parameters, refine
     from .formats import parse_partition
     from .metrics import full_report
     fp = parse_partition(Path(args.partition).read_text())
-    if fp.params is not None and fp.params != _derive(fp.n, fp.d, fp.N):
+    if fp.params is not None and fp.params != derive_parameters(fp.n, fp.d, fp.N):
         raise SchemaError("stored params differ from those derived from (n, d, N)")
     if args.tasks is not None:
         tasks = _read_tasks(args.tasks)
         if fp.params is None:
             raise ICAllocError("--tasks requires a construction partition")
         fp = refine(fp, tasks)
+        if (missing := len(tasks) - sum(map(len, fp.groups))) > 0:
+            raise ICAllocError(f"{missing} of {len(tasks)} tasks are in no group of the partition")
     report = full_report(fp, fp.params)
     print(json.dumps(report.as_dict(), indent=2))
     return 0

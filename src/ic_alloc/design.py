@@ -144,9 +144,8 @@ def _derive(n: int, d: int, N: int) -> ICParameters:
         raise InvalidDimensions(f"need 1 <= d <= n, got n={n}, d={d}")
     if N < 1:
         raise UnsupportedParameters(f"need N >= 1, got {N}")
-    k = d
-    while k + 1 <= n and binomial(k + 1, d) <= N:
-        k += 1
+    # the largest k <= n with C(k, d) <= N; C(k, d) increases with k
+    k = d - 1 + bisect_right(range(d, n + 1), N, key=lambda m: binomial(m, d))
     if n % k == 0:
         case, s, s0, g = DIVISIBLE, n // k, None, 0
     else:

@@ -41,29 +41,30 @@ def run_invariant_checks(p: Partition) -> list[Check]:
 
     total = sum(map(len, p.groups))
     universe = binomial(p.n, p.d)
+    distinct = len(set(chain.from_iterable(p.groups)))
     rederived = base = None
     if p.params is not None:
         try:
             rederived = derive_parameters(p.params.n, p.params.d, p.params.N)
         except ICAllocError as exc:
             derive_error = str(exc)
-    # for a complete task set, the groups must reproduce the construction
-    if rederived is not None and total == universe <= DEFAULT_MATERIALIZE_CAP:
+    # the placement is blind, so a correct file is the construction refined by its
+    # tasks: no tuple twice and each group inside the construction's group
+    if rederived is not None and universe <= DEFAULT_MATERIALIZE_CAP:
         base = build_base_partition(rederived)
-    same_groups = base is not None and tuple(tuple(sorted(g)) for g in p.groups) == base.groups
+    matches = (base is not None and (p.n, p.d, p.N) == (base.n, base.d, base.N)
+               and distinct == total
+               and all(set(b).issuperset(g) for g, b in zip(p.groups, base.groups)))
 
     # structural validity; the construction's edges are well formed
-    trusted = same_groups and (p.n, p.d) == (rederived.n, rederived.d)
-    bad_edges = 0 if trusted else sum(_malformed(t, p.n, p.d) for g in p.groups for t in g)
+    bad_edges = 0 if matches else sum(_malformed(t, p.n, p.d) for g in p.groups for t in g)
     add("edges_well_formed", bad_edges == 0, f"{bad_edges} malformed edges")
-
-    distinct = len(set(chain.from_iterable(p.groups)))
     add("groups_disjoint", distinct == total, f"{total} edges, {distinct} distinct")
     add("edge_count_within_universe", total <= universe, f"{total} <= C({p.n},{p.d})")
 
-    # groups equal to the construction's have its placement as their footprints
-    feasible = (all(map(set.issuperset, map(set, p.placement), base.placement)) if same_groups
-                else _within_placement(p))
+    # groups inside the construction's touch only files of its placement
+    feasible = (matches and all(map(set.issuperset, map(set, p.placement), base.placement))
+                or _within_placement(p))
     add("assignments_feasible", feasible, "every group within its placement")
 
     if p.params is None:
@@ -81,7 +82,7 @@ def run_invariant_checks(p: Partition) -> list[Check]:
     add("promised_bounds", report.bounds_ok, "all applicable cost bounds hold")
 
     if base is not None:
-        add("matches_construction", same_groups, "group contents equal the canonical construction")
+        add("matches_construction", matches, "group contents equal the canonical construction")
         add("footprints_match_construction", p.placement == base.placement,
             "placement equals the canonical footprints")
     return checks

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from itertools import combinations
+from operator import lt
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,14 @@ import pytest
 from ic_alloc import cli, harness, verify
 from ic_alloc.baselines import ThinningSpec, lex_partition, thin
 from ic_alloc.cli import main
-from ic_alloc.design import _prime_partition, build_base_partition, derive_parameters
-from ic_alloc.errors import UnsupportedParameters
+from ic_alloc.design import (
+    Partition,
+    _prime_partition,
+    build_base_partition,
+    derive_parameters,
+    refine,
+)
+from ic_alloc.errors import ICAllocError, UnsupportedParameters
 from ic_alloc.formats import emit_partition, emit_tasks, parse_partition, parse_tasks
 from ic_alloc.harness import SweepRecord
 from ic_alloc.tasks import TaskSet
@@ -117,22 +124,35 @@ def test_verify_rejects_group_outside_its_placement(tmp_path, capsys):
     assert "FAIL assignments_feasible" in err
 
 
-@pytest.mark.parametrize("n, warnings_expected", [(40, 1), (64, 0)])
-def test_partition_warns_about_the_regime_once(n, warnings_expected, tmp_path):
+def _child_stderr(*argv):
     # in a child process, where the default warning filter prints to stderr
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     env.pop("PYTHONWARNINGS", None)
     proc = subprocess.run(
-        [sys.executable, "-c", "from ic_alloc.cli import main; raise SystemExit(main())",
-         "partition", "--n", str(n), "--d", "2", "--workers", "6",
-         "--out", str(tmp_path / "p.json")],
+        [sys.executable, "-c", "from ic_alloc.cli import main; raise SystemExit(main())", *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.count("ParameterRegimeWarning") == warnings_expected, proc.stderr
-    # one line that names no source location
+    # a warning is one line that names no source location
     assert ".py:" not in proc.stderr, proc.stderr
-    assert proc.stderr.count("\n") == 1 + warnings_expected, proc.stderr
+    return proc.stderr
+
+
+@pytest.mark.parametrize("n, warnings_expected", [(40, 1), (64, 0)])
+def test_partition_warns_about_the_regime_once(n, warnings_expected, tmp_path):
+    stderr = _child_stderr("partition", "--n", str(n), "--d", "2", "--workers", "6",
+                           "--out", str(tmp_path / "p.json"))
+    assert stderr.count("ParameterRegimeWarning") == warnings_expected, stderr
+    assert stderr.count("\n") == 1 + warnings_expected, stderr
+
+
+@pytest.mark.parametrize("n, warnings_expected", [(40, 1), (64, 0)])
+def test_eval_warns_about_the_regime_once(n, warnings_expected, tmp_path):
+    part = tmp_path / "p.json"
+    part.write_text(emit_partition(build_base_partition(derive_parameters(n, 2, 6))))
+    stderr = _child_stderr("eval", "--partition", str(part))
+    assert stderr.count("ParameterRegimeWarning: ") == warnings_expected, stderr
+    assert stderr.count("\n") == warnings_expected, stderr
 
 
 def test_structured_task_set_is_outside_the_random_balance_bound(tmp_path, capsys):
@@ -516,6 +536,138 @@ def test_verify_scans_edges_only_when_groups_differ_from_construction(monkeypatc
     assert not checks["matches_construction"].ok
 
 
+def _refined_doc(n, d, N, phi, seed):
+    base = build_base_partition(derive_parameters(n, d, N))
+    return json.loads(emit_partition(refine(base, thin(n, d, ThinningSpec(phi, seed)))))
+
+
+def _verify_doc(doc, tmp_path, capsys):
+    part = tmp_path / "p.json"
+    part.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--partition", str(part))
+    return code, {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
+
+
+def test_verify_compares_a_refined_file_with_the_construction(tmp_path, capsys):
+    doc = _refined_doc(60, 2, 6, 0.5, 7)
+    code, checks = _verify_doc(doc, tmp_path, capsys)
+    assert code == 0
+    assert list(checks) == CHECK_NAMES and all(checks.values())
+
+    # at phi = 0.02 group 1 leaves files of its placement untouched; a
+    # placement entry without one still holds the group, but is not blind
+    doc = _refined_doc(60, 2, 6, 0.02, 7)
+    held, touched = doc["footprints"][0], {x for t in doc["groups"][0] for x in t}
+    held.remove(min(set(held) - touched))
+    code, checks = _verify_doc(doc, tmp_path, capsys)
+    assert code == 1
+    assert [name for name, ok in checks.items() if not ok] == ["footprints_match_construction"]
+
+
+def _move_within_family_1(doc):
+    # files 1-15 are family 1, which the placements of groups 1 and 2 both hold
+    _move(doc, 0, 1, next(t for t in doc["groups"][0] if t[1] <= 15))
+
+
+def _own_footprints(doc):
+    doc["footprints"] = [sorted({x for t in g for x in t}) for g in doc["groups"]]
+
+
+# edits of refined (60, 2, 6) files that keep every structural check; each
+# must fail the named check
+REFINED_TAMPERS = {
+    "moved-tuple": (0.5, _move_within_family_1, "matches_construction"),
+    "placement-from-x": (0.02, _own_footprints, "footprints_match_construction"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFINED_TAMPERS))
+def test_verify_rejects_a_tampered_refined_file(case, tmp_path, capsys):
+    phi, tamper, check = REFINED_TAMPERS[case]
+    doc = _refined_doc(60, 2, 6, phi, 7)
+    tamper(doc)
+    code, checks = _verify_doc(doc, tmp_path, capsys)
+    assert code == 1
+    assert [name for name, ok in checks.items() if not ok] == [check]
+
+
+def _put(seq, i, item):
+    return seq[:i] + (item,) + seq[i + 1:]
+
+
+def _single_edits(p):
+    """Every (groups, placement) one edit away from p: each tuple moved to
+    each other group, replaced by each other d-subset of its group's
+    placement, duplicated into the next group or reversed, and each file
+    toggled in each placement entry."""
+    G, P = p.groups, p.placement
+    for b, g in enumerate(G):
+        for i, t in enumerate(g):
+            rest = g[:i] + g[i + 1:]
+            for c in range(p.N):
+                if c != b:
+                    yield _put(_put(G, b, rest), c, G[c] + (t,)), P
+            for u in combinations(P[b], p.d):
+                if u != t:
+                    yield _put(G, b, _put(g, i, u)), P
+            c = (b + 1) % p.N
+            yield _put(G, c, G[c] + (t,)), P
+            yield _put(G, b, _put(g, i, t[::-1])), P
+    for b, held in enumerate(P):
+        for x in range(1, p.n + 1):
+            toggled = tuple(y for y in held if y != x) if x in held else tuple(sorted(held + (x,)))
+            yield G, _put(P, b, toggled)
+
+
+def _is_correct(p, groups, placement):
+    """The oracle: a construction file must be the construction refined by
+    the union of its groups, with the construction's placement; a baseline
+    file must hold distinct well-formed tuples, each group inside its
+    placement entry."""
+    union = [t for g in groups for t in g]
+    if len(set(union)) != len(union):
+        return False
+    if p.params is None:
+        return all(len(t) == p.d and 1 <= t[0] and t[-1] <= p.n and all(map(lt, t, t[1:]))
+                   for t in union) and all(
+            set(held).issuperset(x for t in g for x in t) for g, held in zip(groups, placement))
+    base = build_base_partition(p.params)
+    wanted = set(union)
+    return placement == base.placement and all(
+        sorted(g) == [t for t in whole if t in wanted] for g, whole in zip(groups, base.groups))
+
+
+def _verify_exit(text):
+    # cmd_verify's verdict, in-process
+    try:
+        checks = verify.run_invariant_checks(parse_partition(text))
+    except ICAllocError:
+        return 1
+    return 0 if all(c.ok for c in checks) else 1
+
+
+def test_verify_accepts_exactly_the_correct_single_edits():
+    b12 = build_base_partition(derive_parameters(12, 2, 4))
+    b13 = build_base_partition(derive_parameters(13, 2, 5))
+    files = [
+        b12,
+        refine(b12, thin(12, 2, ThinningSpec(0.5, 7))),
+        refine(b13, thin(13, 2, ThinningSpec(0.6, 7))),
+        lex_partition(TaskSet.full(12, 2), 4),
+    ]
+    counts = []
+    for p in files:
+        edits = accepted = 0
+        for groups, placement in _single_edits(p):
+            mutant = Partition(p.n, p.d, groups, placement, p.params, p.metadata)
+            correct = _is_correct(p, groups, placement)
+            assert _verify_exit(emit_partition(mutant)) == (0 if correct else 1), (
+                groups, placement)
+            edits, accepted = edits + 1, accepted + correct
+        counts.append((edits, accepted))
+    assert counts == [(2017, 0), (1141, 295), (2162, 308), (3281, 121)]
+
+
 def _baseline_partition(tmp, n):
     # a lex split of the complete set: params null, own footprints as placement
     path = tmp / "baseline.json"
@@ -604,6 +756,16 @@ def _eval_tasks_argv(tmp, comment):
     return ["eval", "--partition", str(part), "--tasks", _tasks_with_comment(tmp, comment)]
 
 
+def _eval_tasks_outside_the_partition(tmp):
+    # X is all 66 tuples, and one of them was deleted from group 1
+    doc = _partition_doc(12, 2, 4)
+    doc["groups"][0].pop()
+    part = tmp / "p.json"
+    part.write_text(json.dumps(doc))
+    return ["eval", "--partition", str(part),
+            "--tasks", _tasks_file(tmp, emit_tasks(TaskSet.full(12, 2)))]
+
+
 def _sweep_argv(tmp, grid_text):
     grid = tmp / "grid.json"
     grid.write_text(grid_text)
@@ -682,6 +844,7 @@ BAD_INPUTS = {
         "--trials", "1", "--seed", "3"],
     "eval-tasks-phi-not-a-number": lambda tmp: _eval_tasks_argv(tmp, "phi: zz"),
     "eval-tasks-seed-not-an-integer": lambda tmp: _eval_tasks_argv(tmp, "seed: abc"),
+    "eval-tasks-outside-the-partition": _eval_tasks_outside_the_partition,
     "eval-tasks-on-baseline-partition": lambda tmp: [
         "eval", "--partition", _baseline_partition(tmp, 7),
         "--tasks", _tasks_file(tmp, EXAMPLE1_TEXT)],

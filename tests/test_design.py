@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from itertools import combinations
 
@@ -92,6 +93,33 @@ def test_derive_rejects_bad_dimensions():
         derive_parameters(4, 0, 2)
     with pytest.raises(UnsupportedParameters):
         derive_parameters(6, 2, 0)
+
+
+def _k_by_steps(n, d, N):
+    # the derivation of k before it became a bisection, kept as the reference
+    k = d
+    while k + 1 <= n and binomial(k + 1, d) <= N:
+        k += 1
+    return k
+
+
+def test_derive_k_matches_the_stepwise_reference():
+    for d in range(1, 6):
+        for n in range(d, 70):
+            for N in (*range(1, 300), 10**6, 10**9):
+                k = _k_by_steps(n, d, N)
+                try:
+                    assert _derive(n, d, N).k == k, (n, d, N)
+                except UnsupportedParameters as exc:
+                    assert str(exc).startswith(f"k={k} "), (n, d, N, exc)
+
+
+def test_derive_k_takes_logarithmic_steps():
+    # k is about 4.5 million here; one step per k took 0.7 s
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedParameters, match="^k=4472136 "):
+        _derive(10**9, 2, 10**13)
+    assert time.perf_counter() - start < 0.05
 
 
 def test_derive_warns_outside_recommended_regime():

@@ -8,7 +8,8 @@ also their canonical ordering key.
 
 from __future__ import annotations
 
-from itertools import combinations
+from contextlib import suppress
+from itertools import chain, combinations, islice
 from math import comb
 from operator import lt
 from typing import Iterator
@@ -31,7 +32,10 @@ def validate_dtuple(t, n: int, d: int) -> DTuple:
     """Return t as a tuple after checking it is a canonical d-tuple: d >= 1
     elements of type int (bool, float and str are refused), strictly
     increasing, in [1, n]."""
-    t = tuple(t)
+    try:
+        t = tuple(t)
+    except TypeError:
+        raise InvalidDimensions(f"tuple {t!r} is not a sequence of d={d} ints") from None
     if not 0 < len(t) == d:
         raise InvalidDimensions(f"tuple {t} does not have d={d} >= 1 elements")
     if set(map(type, t)) != {int}:
@@ -41,6 +45,21 @@ def validate_dtuple(t, n: int, d: int) -> DTuple:
     if t[0] < 1 or t[-1] > n:
         raise InvalidDimensions(f"elements of {t} must lie in [1, {n}]")
     return t
+
+
+def validate_dtuples(edges, n: int, d: int) -> list[DTuple]:
+    """validate_dtuple over a batch, by C-level calls over its columns.  A batch that
+    fails is checked again edge by edge, which raises the first bad edge's own error."""
+    edges, ts = list(edges), []
+    with suppress(TypeError):  # at a non-iterable edge; ts keeps the edges before it
+        ts.extend(map(tuple, edges))
+    cols = list(zip(*ts))
+    if (len(ts) == len(edges) and set(map(len, ts)) == {d}  # d = 0 fails the int check
+            and set(map(type, chain.from_iterable(cols))) == {int}
+            and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
+            and min(cols[0]) >= 1 and max(cols[-1]) <= n):
+        return ts
+    return [validate_dtuple(t, n, d) for t in chain(ts, islice(edges, len(ts), None))]
 
 
 def enumerate_lex(n: int, d: int) -> Iterator[DTuple]:

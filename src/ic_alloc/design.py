@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, product, starmap
 from operator import add
 from typing import Iterator, NamedTuple
 
-from .combinatorics import DTuple, binomial, validate_dtuple
+from .combinatorics import DTuple, binomial, validate_dtuple, validate_dtuples
 from .counting import block_bounds, block_index, block_slices
 from .covering import Block, PrefixTables, count_below, prefix_tables, ways_by_count
 from .errors import (
@@ -297,8 +297,9 @@ class Router:
     Everything in it depends only on (n, d, N): the label ranks up front,
     and, built on first use, each non-empty support class, the count_below
     prefix tables of each block shape (shared by the classes) and each split
-    label's cut tuples, the first member of every slice after the first.
-    Its memory is O(classes + split labels + d^2 (s + g)), never O(C(n, d)).
+    label's cut tuples, the first member of every slice after the first,
+    and the eligible placement.  Its memory is O(classes + split labels +
+    d^2 (s + g)), plus O(N + N'(s*d + g)) for the placement; never O(C(n, d)).
     """
 
     def __init__(self, params: ICParameters):
@@ -368,6 +369,10 @@ class Router:
         if cuts is None:
             cuts = self._cuts[b0] = self._label_cuts(self.labels[b0 - 1], parts)
         return b0 + bisect_right(cuts, t) * p.N_prime
+
+    @cached_property
+    def placement(self) -> tuple[tuple[int, ...], ...]:
+        return eligible_placement(self.params)
 
     def pieces(self, sigma: tuple[int, ...]) -> tuple[list[tuple[_SupportClass, int, int]], int]:
         """The support classes dealing members to label sigma, each with the
@@ -459,12 +464,9 @@ def eligible_placement(params: ICParameters) -> tuple[tuple[int, ...], ...]:
     a label share one tuple, and every tuple shares the family tuples' files."""
     if params.N > DEFAULT_MATERIALIZE_CAP:
         raise InstanceTooLarge(f"N = {params.N} groups exceeds the cap {DEFAULT_MATERIALIZE_CAP}")
-    families = build_families(params)
     tail = params.excluded
-    per_label = [
-        sum((families[i - 1] for i in sigma), ()) + tail
-        for sigma in combinations(range(1, params.f + 1), params.d)
-    ]
+    # combinations of the families come in the order of their labels
+    per_label = [sum(fams, ()) + tail for fams in combinations(build_families(params), params.d)]
     return tuple(per_label[b % params.N_prime] for b in range(params.N))
 
 
@@ -472,29 +474,26 @@ def assign_tasks(params: ICParameters, tasks: TaskSet) -> Partition:
     """Streaming refinement: route every edge of X with the parameters'
     Router, never materializing the base partition.  The reported placement
     is the eligible-files bound, a valid (slightly conservative) blind
-    placement.  An N over DEFAULT_MATERIALIZE_CAP is refused first."""
+    placement the Router builds once.  An N over DEFAULT_MATERIALIZE_CAP is refused first."""
     if tasks.n != params.n or tasks.d != params.d:
         raise DimensionMismatch(
             f"tasks are ({tasks.n},{tasks.d}) but parameters are "
             f"({params.n},{params.d})"
         )
-    placement = eligible_placement(params)
     rt = router(params)
+    placement = rt.placement
     groups: list[list[DTuple]] = [[] for _ in range(params.N)]
     for e in tasks.edges:  # canonical by the TaskSet contract; not validated again
         groups[rt.route(e) - 1].append(e)
     return Partition(
-        params.n, params.d, tuple(tuple(g) for g in groups), placement, params,
-        _task_metadata(tasks),
+        params.n, params.d, tuple(map(tuple, groups)), placement, params, _task_metadata(tasks)
     )
 
 
 def partition_from_groups(n: int, d: int, groups) -> Partition:
     """Wrap explicit groups (e.g. a hand-written partition) with their own
-    footprints as placement.  Every tuple is validated."""
-    return _own_placement(
-        n, d, tuple(tuple(validate_dtuple(t, n, d) for t in g) for g in groups), None
-    )
+    footprints as placement.  Every tuple is validated, a group at a time."""
+    return _own_placement(n, d, tuple(tuple(validate_dtuples(g, n, d)) for g in groups), None)
 
 
 def _own_placement(n: int, d: int, groups, metadata: dict | None) -> Partition:

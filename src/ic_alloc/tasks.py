@@ -3,9 +3,11 @@ lexicographic order, plus the sampling metadata that produced it."""
 
 from __future__ import annotations
 
+from itertools import islice
+from operator import eq
 from typing import Iterable
 
-from .combinatorics import DTuple, enumerate_lex, validate_dtuple
+from .combinatorics import DTuple, enumerate_lex, validate_dtuples
 from .errors import DuplicateEdge, InvalidDimensions
 from .records import Record
 
@@ -40,12 +42,12 @@ class TaskSet(Record):
 
     @staticmethod
     def from_edges(n: int, d: int, edges: Iterable[Iterable[int]]) -> "TaskSet":
-        """Canonicalize arbitrary edge input: validate every edge as a
-        strictly increasing d-tuple over [1, n], sort, reject dupes."""
-        canon = sorted(validate_dtuple(e, n, d) for e in edges)
-        for a, b in zip(canon, canon[1:]):
-            if a == b:
-                raise DuplicateEdge(f"edge {a} listed twice")
+        """Canonicalize arbitrary edge input: validate every edge as a strictly
+        increasing d-tuple over [1, n] (as one batch), sort, reject dupes."""
+        canon = sorted(validate_dtuples(edges, n, d))
+        if any(map(eq, canon, islice(canon, 1, None))):
+            dup = next(a for a, b in zip(canon, canon[1:]) if a == b)
+            raise DuplicateEdge(f"edge {dup} listed twice")
         return TaskSet(n, d, tuple(canon))
 
     @staticmethod

@@ -141,3 +141,17 @@ ENTRY_POINTS = {
 def test_entry_points_refuse_tuples_that_are_not_canonical(case):
     with pytest.raises(InvalidDimensions):
         ENTRY_POINTS[case]()
+
+
+# an edge or tuple that is not iterable at all is refused the same way
+NOT_ITERABLE = {
+    "from_edges": lambda: TaskSet.from_edges(5, 2, [(1, 2), 3]),
+    "partition_from_groups": lambda: partition_from_groups(5, 2, [[(1, 2)], [7]]),
+    "assign_base_group": lambda: assign_base_group(3, derive_parameters(6, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_ITERABLE))
+def test_entry_points_refuse_a_tuple_that_is_not_iterable(case):
+    with pytest.raises(InvalidDimensions, match="is not a sequence of d=2 ints"):
+        NOT_ITERABLE[case]()

@@ -11,6 +11,8 @@ from itertools import combinations
 import pytest
 from conftest import support_classes
 
+from ic_alloc import design
+
 from ic_alloc.combinatorics import binomial, enumerate_lex, lex_unrank
 from ic_alloc.counting import (
     beta_range_excluded,
@@ -618,6 +620,24 @@ def test_assign_tasks_matches_refine_groups():
         # streamed placement is the eligible-files bound: a superset per group
         for exact, bound in zip(materialized.placement, streamed.placement):
             assert set(exact) <= set(bound)
+
+
+def test_assign_tasks_builds_the_eligible_placement_once_per_parameters(monkeypatch):
+    built = []
+
+    def counted(params):
+        built.append(params)
+        return eligible_placement(params)
+
+    monkeypatch.setattr(design, "eligible_placement", counted)
+    router.cache_clear()
+    tasks = TaskSet.from_edges(64, 2, [(1, 2), (5, 60), (33, 64)])
+    # two equal parameter sets, derived separately
+    first = assign_tasks(derive_parameters(64, 2, 10), tasks)
+    second = assign_tasks(derive_parameters(64, 2, 10), tasks)
+    assert len(built) == 1
+    assert first.placement is second.placement
+    assert first.placement == eligible_placement(derive_parameters(64, 2, 10))
 
 
 def test_eligible_placement_shape():

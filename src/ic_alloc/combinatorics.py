@@ -48,16 +48,15 @@ def validate_dtuple(t, n: int, d: int) -> DTuple:
 
 
 def validate_dtuples(edges, n: int, d: int) -> list[DTuple]:
-    """validate_dtuple over a batch, by C-level calls over its columns.  A batch that
+    """validate_dtuple over a batch by C-level calls over its columns; a batch that
     fails is checked again edge by edge, which raises the first bad edge's own error."""
     edges, ts = list(edges), []
     with suppress(TypeError):  # at a non-iterable edge; ts keeps the edges before it
         ts.extend(map(tuple, edges))
     cols = list(zip(*ts))
     if (len(ts) == len(edges) and set(map(len, ts)) == {d}  # d = 0 fails the int check
-            and set(map(type, chain.from_iterable(cols))) == {int}
-            and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
-            and min(cols[0]) >= 1 and max(cols[-1]) <= n):
+            and set(map(type, chain.from_iterable(cols))) == {int} and min(cols[0]) >= 1
+            and all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])) and max(cols[-1]) <= n):
         return ts
     return [validate_dtuple(t, n, d) for t in chain(ts, islice(edges, len(ts), None))]
 

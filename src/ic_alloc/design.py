@@ -29,7 +29,7 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, product, starmap
+from itertools import chain, combinations, cycle, islice, product, starmap
 from operator import add
 from typing import Iterator, NamedTuple
 
@@ -297,9 +297,8 @@ class Router:
     Everything in it depends only on (n, d, N): the label ranks up front,
     and, built on first use, each non-empty support class, the count_below
     prefix tables of each block shape (shared by the classes) and each split
-    label's cut tuples, the first member of every slice after the first,
-    and the eligible placement.  Its memory is O(classes + split labels +
-    d^2 (s + g)), plus O(N + N'(s*d + g)) for the placement; never O(C(n, d)).
+    label's cut tuples (the first member of every slice after the first) and
+    label_files; in all O(classes + split labels + d^2 (s + g) + N'(s*d + g)), never O(C(n, d)).
     """
 
     def __init__(self, params: ICParameters):
@@ -371,8 +370,8 @@ class Router:
         return b0 + bisect_right(cuts, t) * p.N_prime
 
     @cached_property
-    def placement(self) -> tuple[tuple[int, ...], ...]:
-        return eligible_placement(self.params)
+    def label_files(self) -> tuple[tuple[int, ...], ...]:
+        return eligible_placement(self.params)[: self.params.N_prime]  # one entry per label
 
     def pieces(self, sigma: tuple[int, ...]) -> tuple[list[tuple[_SupportClass, int, int]], int]:
         """The support classes dealing members to label sigma, each with the
@@ -457,36 +456,38 @@ def refine(base: Partition, tasks: TaskSet) -> Partition:
 
 
 def eligible_placement(params: ICParameters) -> tuple[tuple[int, ...], ...]:
-    """Closed-form placement upper bound: group b may only ever touch the
-    files of its parent label's families plus the excluded tail.  Used by
-    the streaming path, where exact footprints would require materialization
-    (an N over DEFAULT_MATERIALIZE_CAP is refused first).  Groups that share
-    a label share one tuple, and every tuple shares the family tuples' files."""
+    """Closed-form placement upper bound: group b + 1 may only ever touch the files
+    of its label's families (label b mod N'; the families' combinations come in label
+    order) plus the excluded tail.  Used by the streaming path, where exact footprints
+    would require materialization (an N over DEFAULT_MATERIALIZE_CAP is refused first).
+    Groups that share a label share one tuple, and every tuple shares the families' files."""
     if params.N > DEFAULT_MATERIALIZE_CAP:
         raise InstanceTooLarge(f"N = {params.N} groups exceeds the cap {DEFAULT_MATERIALIZE_CAP}")
     tail = params.excluded
-    # combinations of the families come in the order of their labels
     per_label = [sum(fams, ()) + tail for fams in combinations(build_families(params), params.d)]
-    return tuple(per_label[b % params.N_prime] for b in range(params.N))
+    return tuple(islice(cycle(per_label), params.N))
 
 
 def assign_tasks(params: ICParameters, tasks: TaskSet) -> Partition:
     """Streaming refinement: route every edge of X with the parameters'
     Router, never materializing the base partition.  The reported placement
     is the eligible-files bound, a valid (slightly conservative) blind
-    placement the Router builds once.  An N over DEFAULT_MATERIALIZE_CAP is refused first."""
+    placement, laid out from its Router's label_files.  An N over the cap is refused first."""
     if tasks.n != params.n or tasks.d != params.d:
         raise DimensionMismatch(
             f"tasks are ({tasks.n},{tasks.d}) but parameters are "
             f"({params.n},{params.d})"
         )
+    if params.N > DEFAULT_MATERIALIZE_CAP:  # before the Router builds its N' labels
+        raise InstanceTooLarge(f"N = {params.N} groups exceeds the cap {DEFAULT_MATERIALIZE_CAP}")
     rt = router(params)
-    placement = rt.placement
+    placement = tuple(islice(cycle(rt.label_files), params.N))
     groups: list[list[DTuple]] = [[] for _ in range(params.N)]
     for e in tasks.edges:  # canonical by the TaskSet contract; not validated again
         groups[rt.route(e) - 1].append(e)
     return Partition(
-        params.n, params.d, tuple(map(tuple, groups)), placement, params, _task_metadata(tasks)
+        params.n, params.d, tuple(tuple(g) for g in groups), placement, params,
+        _task_metadata(tasks),
     )
 
 

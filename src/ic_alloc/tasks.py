@@ -3,7 +3,7 @@ lexicographic order, plus the sampling metadata that produced it."""
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import compress, islice
 from operator import eq
 from typing import Iterable
 
@@ -44,9 +44,9 @@ class TaskSet(Record):
     def from_edges(n: int, d: int, edges: Iterable[Iterable[int]]) -> "TaskSet":
         """Canonicalize arbitrary edge input: validate every edge as a strictly
         increasing d-tuple over [1, n] (as one batch), sort, reject dupes."""
-        canon = sorted(validate_dtuples(edges, n, d))
-        if any(map(eq, canon, islice(canon, 1, None))):
-            dup = next(a for a, b in zip(canon, canon[1:]) if a == b)
+        canon = validate_dtuples(edges, n, d)
+        canon.sort()
+        for dup in compress(canon, map(eq, canon, islice(canon, 1, None))):  # the first one
             raise DuplicateEdge(f"edge {dup} listed twice")
         return TaskSet(n, d, tuple(canon))
 

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import operator
 import os
 import random
 import subprocess
@@ -294,24 +295,26 @@ def test_materialization_cap():
 def test_streaming_refuses_an_n_over_the_cap_before_allocating():
     # in a child limited to 1 GB of address space, so that a missing check
     # ends in MemoryError rather than in one list entry per group for 10^12
-    # groups; the refusal itself takes well under a second
+    # groups, or, at n=14142 (k=14142), in the Router's 99,991,011 labels
+    # for 10^8 groups; the refusal itself takes well under a second
     code = """if True:
         import resource, time
         resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
         from ic_alloc.design import assign_tasks, derive_parameters, eligible_placement
         from ic_alloc.errors import InstanceTooLarge
         from ic_alloc.tasks import TaskSet
-        params = derive_parameters(6, 2, 10**12)
-        for call in (lambda: assign_tasks(params, TaskSet.from_edges(6, 2, [(1, 2)])),
-                     lambda: eligible_placement(params)):
-            start = time.perf_counter()
-            try:
-                call()
-            except InstanceTooLarge as exc:
-                assert "N = 1000000000000 groups" in str(exc), exc
-            else:
-                raise AssertionError("no InstanceTooLarge")
-            assert time.perf_counter() - start < 1.0
+        for n, N in ((6, 10**12), (14142, 10**8)):
+            params = derive_parameters(n, 2, N)
+            for call in (lambda: assign_tasks(params, TaskSet.from_edges(n, 2, [(1, 2)])),
+                         lambda: eligible_placement(params)):
+                start = time.perf_counter()
+                try:
+                    call()
+                except InstanceTooLarge as exc:
+                    assert f"N = {N} groups" in str(exc), exc
+                else:
+                    raise AssertionError("no InstanceTooLarge")
+                assert time.perf_counter() - start < 1.0
     """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -636,7 +639,8 @@ def test_assign_tasks_builds_the_eligible_placement_once_per_parameters(monkeypa
     first = assign_tasks(derive_parameters(64, 2, 10), tasks)
     second = assign_tasks(derive_parameters(64, 2, 10), tasks)
     assert len(built) == 1
-    assert first.placement is second.placement
+    # each call lays out its own N entries, all of them the Router's label tuples
+    assert all(map(operator.is_, first.placement, second.placement))
     assert first.placement == eligible_placement(derive_parameters(64, 2, 10))
 
 

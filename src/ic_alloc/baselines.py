@@ -23,14 +23,14 @@ a value below 2**64 between steps, so no lane spills into its neighbour:
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import compress
 
 from .combinatorics import _rank, binomial, enumerate_lex
 from .counting import block_slices
 from .design import Partition, _own_placement
 from .errors import InvalidArgument, InvalidPhi
 from .records import Record
-from .tasks import GENERATOR_ID, TaskSet
+from .tasks import GENERATOR_ID, TaskSet, remember_kept
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -93,14 +93,15 @@ class ThinningSpec(Record):
 
 def thin(n: int, d: int, spec: ThinningSpec) -> TaskSet:
     """Keep each tuple of the complete d-uniform set independently with
-    probability phi.  phi=1 keeps everything, phi=0 nothing."""
+    probability phi.  phi=1 keeps everything, phi=0 nothing.  The keep byte
+    of every rank is remembered for the returned X (see refine)."""
     tuples = enumerate_lex(n, d)
     threshold = min(1 << 64, int(spec.phi * (1 << 64)))
-    flags = chain.from_iterable(_keep_flags(spec.seed, threshold, binomial(n, d)))
-    return TaskSet(
-        n, d, tuple(compress(tuples, flags)),
+    keep = b"".join(_keep_flags(spec.seed, threshold, binomial(n, d)))
+    return remember_kept(TaskSet(
+        n, d, tuple(compress(tuples, keep)),
         phi=spec.phi, seed=spec.seed, generator_id=GENERATOR_ID,
-    )
+    ), keep)
 
 
 def lex_partition(tasks: TaskSet, N: int) -> Partition:

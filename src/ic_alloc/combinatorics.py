@@ -74,7 +74,10 @@ def enumerate_lex(n: int, d: int) -> Iterator[DTuple]:
 def lex_rank(t, n: int) -> int:
     """1-based position of d-tuple t in the lexicographic enumeration of
     d-subsets of [1, n]."""
-    t = tuple(t)
+    try:
+        t = tuple(t)
+    except TypeError:
+        raise InvalidDimensions(f"tuple {t!r} is not a sequence of ints") from None
     return _rank(validate_dtuple(t, n, len(t)), n)
 
 

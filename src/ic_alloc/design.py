@@ -28,23 +28,25 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left, bisect_right
+from contextlib import suppress
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, cycle, islice, product, starmap
+from itertools import chain, combinations, compress, count, cycle, islice, product, starmap
 from operator import add
 from typing import Iterator, NamedTuple
 
-from .combinatorics import DTuple, binomial, validate_dtuple, validate_dtuples
+from .combinatorics import DTuple, binomial, enumerate_lex, validate_dtuple, validate_dtuples
 from .counting import block_bounds, block_index, block_slices
 from .covering import Block, PrefixTables, count_below, prefix_tables, ways_by_count
 from .errors import (
     DimensionMismatch,
+    ICAllocError,
     InstanceTooLarge,
     InvalidDimensions,
     ParameterRegimeWarning,
     UnsupportedParameters,
 )
 from .records import Record
-from .tasks import TaskSet
+from .tasks import TaskSet, kept_ranks
 
 DIVISIBLE = "divisible"
 NONDIVISIBLE = "nondivisible"
@@ -253,14 +255,19 @@ def build_base_partition(params: ICParameters) -> Partition:
             f"the materialization cap {DEFAULT_MATERIALIZE_CAP}; the CLI materializes, and "
             "only the library calls assign_base_group and assign_tasks stream"
         )
+    groups = _construction_groups(params)
+    return Partition(
+        params.n, params.d, groups, tuple(footprint(g) for g in groups), params, {"phi": 1.0}
+    )
+
+
+def _construction_groups(params: ICParameters) -> tuple[tuple[DTuple, ...], ...]:
+    """The N groups of the construction, cut from the cached _prime_partition."""
     out: list[tuple[DTuple, ...]] = [()] * params.N  # slice j of label b0 (from 0): b0 + j * N'
     for b0, members in enumerate(_prime_partition(params.n, params.d, params.k)):
         for j, part in enumerate(block_slices(members, params.p if b0 < params.r else params.q)):
             out[b0 + j * params.N_prime] = part
-    groups = tuple(out)
-    return Partition(
-        params.n, params.d, groups, tuple(footprint(g) for g in groups), params, {"phi": 1.0}
-    )
+    return tuple(out)
 
 
 def footprint(group) -> tuple[int, ...]:
@@ -445,14 +452,51 @@ def assign_base_group(t, params: ICParameters) -> int:
 
 def refine(base: Partition, tasks: TaskSet) -> Partition:
     """Intersect each group with X.  The placement is copied unchanged from
-    the base partition, so the file allocation is identical for every X."""
+    the base partition, so the file allocation is identical for every X.
+    X fresh from thin may be dealt out by rank instead (see _rank_path); any
+    other X, such as a parsed one, is intersected with each group as a set."""
     if tasks.n != base.n or tasks.d != base.d:
         raise DimensionMismatch(
             f"tasks are ({tasks.n},{tasks.d}) but partition is ({base.n},{base.d})"
         )
-    wanted = frozenset(tasks.edges)
-    groups = tuple(tuple(filter(wanted.__contains__, g)) for g in base.groups)
+    ranked = _rank_path(base, tasks)
+    if ranked is None:
+        wanted = frozenset(tasks.edges)
+        groups = tuple(tuple(filter(wanted.__contains__, g)) for g in base.groups)
+    else:
+        dealt: list[list[DTuple]] = [[] for _ in base.groups]
+        for e, b in zip(tasks.edges, ranked):
+            dealt[b].append(e)
+        groups = tuple(map(tuple, dealt))
     return Partition(base.n, base.d, groups, base.placement, base.params, _task_metadata(tasks))
+
+
+def _rank_path(base: Partition, tasks: TaskSet):
+    """The group index of each of X's edges, from _group_of_rank at the ranks
+    thin kept, when X is thin's latest result, base is the construction (params
+    as derived, groups equal) and an earlier refine asked the same; else None."""
+    keep, p = kept_ranks(tasks), base.params
+    with suppress(ICAllocError):  # from _derive, for a hand-made params
+        if (keep is not None and p == _derive(base.n, base.d, base.N)
+                and base.groups == _construction_groups(p) and next(_asks(p))):
+            return compress(_group_of_rank(p), keep)
+    return None
+
+
+@lru_cache(maxsize=2)
+def _asks(params: ICParameters) -> Iterator[int]:
+    return count()  # numbers the refines that could take the rank path, from 0
+
+
+@lru_cache(maxsize=2)
+def _group_of_rank(params: ICParameters):
+    """The construction's group index (from 0) of every lexicographic rank,
+    C(n, d) entries of 1, 2 or 4 bytes as N needs.  The build hashes every
+    tuple once: about 0.1 s at C = 287,980."""
+    from array import array  # here, so that no CLI step imports it
+    group = {t: b for b, g in enumerate(_construction_groups(params)) for t in g}
+    code = "B" if params.N <= 1 << 8 else "H" if params.N <= 1 << 16 else "I"
+    return array(code, map(group.__getitem__, enumerate_lex(params.n, params.d)))
 
 
 def eligible_placement(params: ICParameters) -> tuple[tuple[int, ...], ...]:

@@ -6,6 +6,7 @@ from __future__ import annotations
 from itertools import compress, islice
 from operator import eq
 from typing import Iterable
+from weakref import ref
 
 from .combinatorics import DTuple, enumerate_lex, validate_dtuples
 from .errors import DuplicateEdge, InvalidDimensions
@@ -54,3 +55,19 @@ class TaskSet(Record):
     def full(n: int, d: int) -> "TaskSet":
         """The complete d-uniform task set on [1, n]."""
         return TaskSet(n, d, tuple(enumerate_lex(n, d)), phi=1.0)
+
+
+_kept = (lambda: None, None)  # a weak reference to the latest thinned X, and its keep bytes
+
+
+def remember_kept(tasks: TaskSet, keep: bytes) -> TaskSet:
+    """Remember that keep[r - 1] is truthy iff rank r is an edge of tasks; return tasks."""
+    global _kept
+    _kept = ref(tasks), keep
+    return tasks
+
+
+def kept_ranks(tasks: TaskSet) -> bytes | None:
+    """The keep bytes remembered for this very TaskSet, else None."""
+    owner, keep = _kept
+    return keep if owner() is tasks else None

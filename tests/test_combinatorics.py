@@ -133,6 +133,7 @@ ENTRY_POINTS = {
     "from_edges": lambda: TaskSet.from_edges(6, 2, [(1.9, "2"), (True, 3)]),
     "assign_base_group": lambda: assign_base_group((1.5, 2.7), derive_parameters(64, 2, 10)),
     "lex_rank": lambda: lex_rank((1.2, 2), 6),
+    "lex_rank_not_iterable": lambda: lex_rank(3, 6),
     "partition_from_groups": lambda: partition_from_groups(6, 2, [[(1, 2, 3)], [(4,)]]),
 }
 

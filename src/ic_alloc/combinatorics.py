@@ -28,14 +28,16 @@ def binomial(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def validate_dtuple(t, n: int, d: int) -> DTuple:
+def validate_dtuple(t, n: int, d: int | None = None) -> DTuple:
     """Return t as a tuple after checking it is a canonical d-tuple: d >= 1
-    elements of type int (bool, float and str are refused), strictly
-    increasing, in [1, n]."""
+    elements (any number when d is None) of type int (bool, float and str are
+    refused), strictly increasing, in [1, n]."""
     try:
         t = tuple(t)
     except TypeError:
-        raise InvalidDimensions(f"tuple {t!r} is not a sequence of d={d} ints") from None
+        want = "ints" if d is None else f"d={d} ints"
+        raise InvalidDimensions(f"tuple {t!r} is not a sequence of {want}") from None
+    d = len(t) if d is None else d
     if not 0 < len(t) == d:
         raise InvalidDimensions(f"tuple {t} does not have d={d} >= 1 elements")
     if set(map(type, t)) != {int}:
@@ -74,11 +76,7 @@ def enumerate_lex(n: int, d: int) -> Iterator[DTuple]:
 def lex_rank(t, n: int) -> int:
     """1-based position of d-tuple t in the lexicographic enumeration of
     d-subsets of [1, n]."""
-    try:
-        t = tuple(t)
-    except TypeError:
-        raise InvalidDimensions(f"tuple {t!r} is not a sequence of ints") from None
-    return _rank(validate_dtuple(t, n, len(t)), n)
+    return _rank(validate_dtuple(t, n), n)
 
 
 def _rank(t: DTuple, n: int) -> int:

@@ -28,18 +28,17 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left, bisect_right
-from contextlib import suppress
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, compress, count, cycle, islice, product, starmap
+from itertools import chain, combinations, compress, cycle, islice, product, starmap
 from operator import add
 from typing import Iterator, NamedTuple
+from weakref import WeakValueDictionary
 
-from .combinatorics import DTuple, binomial, enumerate_lex, validate_dtuple, validate_dtuples
+from .combinatorics import DTuple, binomial, validate_dtuple, validate_dtuples
 from .counting import block_bounds, block_index, block_slices
 from .covering import Block, PrefixTables, count_below, prefix_tables, ways_by_count
 from .errors import (
     DimensionMismatch,
-    ICAllocError,
     InstanceTooLarge,
     InvalidDimensions,
     ParameterRegimeWarning,
@@ -255,19 +254,16 @@ def build_base_partition(params: ICParameters) -> Partition:
             f"the materialization cap {DEFAULT_MATERIALIZE_CAP}; the CLI materializes, and "
             "only the library calls assign_base_group and assign_tasks stream"
         )
-    groups = _construction_groups(params)
-    return Partition(
-        params.n, params.d, groups, tuple(footprint(g) for g in groups), params, {"phi": 1.0}
-    )
-
-
-def _construction_groups(params: ICParameters) -> tuple[tuple[DTuple, ...], ...]:
-    """The N groups of the construction, cut from the cached _prime_partition."""
     out: list[tuple[DTuple, ...]] = [()] * params.N  # slice j of label b0 (from 0): b0 + j * N'
     for b0, members in enumerate(_prime_partition(params.n, params.d, params.k)):
         for j, part in enumerate(block_slices(members, params.p if b0 < params.r else params.q)):
             out[b0 + j * params.N_prime] = part
-    return tuple(out)
+    groups = tuple(out)
+    base = Partition(
+        params.n, params.d, groups, tuple(footprint(g) for g in groups), params, {"phi": 1.0}
+    )
+    _constructions[id(base)] = base
+    return base
 
 
 def footprint(group) -> tuple[int, ...]:
@@ -453,50 +449,54 @@ def assign_base_group(t, params: ICParameters) -> int:
 def refine(base: Partition, tasks: TaskSet) -> Partition:
     """Intersect each group with X.  The placement is copied unchanged from
     the base partition, so the file allocation is identical for every X.
-    X fresh from thin may be dealt out by rank instead (see _rank_path); any
-    other X, such as a parsed one, is intersected with each group as a set."""
+    X fresh from thin, against a partition build_base_partition returned, is
+    dealt out by its ranks' groups instead (see _rank_table); any other input,
+    such as a parsed X or base, is intersected with each group as a set."""
     if tasks.n != base.n or tasks.d != base.d:
         raise DimensionMismatch(
             f"tasks are ({tasks.n},{tasks.d}) but partition is ({base.n},{base.d})"
         )
-    ranked = _rank_path(base, tasks)
-    if ranked is None:
+    keep = kept_ranks(tasks)
+    table = None if keep is None else _rank_table(base, len(tasks))
+    if table is None:
         wanted = frozenset(tasks.edges)
         groups = tuple(tuple(filter(wanted.__contains__, g)) for g in base.groups)
     else:
         dealt: list[list[DTuple]] = [[] for _ in base.groups]
-        for e, b in zip(tasks.edges, ranked):
+        for e, b in zip(tasks.edges, compress(table, keep)):
             dealt[b].append(e)
         groups = tuple(map(tuple, dealt))
     return Partition(base.n, base.d, groups, base.placement, base.params, _task_metadata(tasks))
 
 
-def _rank_path(base: Partition, tasks: TaskSet):
-    """The group index of each of X's edges, from _group_of_rank at the ranks
-    thin kept, when X is thin's latest result, base is the construction (params
-    as derived, groups equal) and an earlier refine asked the same; else None."""
-    keep, p = kept_ranks(tasks), base.params
-    with suppress(ICAllocError):  # from _derive, for a hand-made params
-        if (keep is not None and p == _derive(base.n, base.d, base.N)
-                and base.groups == _construction_groups(p) and next(_asks(p))):
-            return compress(_group_of_rank(p), keep)
-    return None
+_constructions = WeakValueDictionary()  # each live partition build_base_partition returned
+_table: tuple = (None, None)  # the latest table refine built, after its parameter set
 
 
-@lru_cache(maxsize=2)
-def _asks(params: ICParameters) -> Iterator[int]:
-    return count()  # numbers the refines that could take the rank path, from 0
-
-
-@lru_cache(maxsize=2)
-def _group_of_rank(params: ICParameters):
-    """The construction's group index (from 0) of every lexicographic rank,
-    C(n, d) entries of 1, 2 or 4 bytes as N needs.  The build hashes every
-    tuple once: about 0.1 s at C = 287,980."""
-    from array import array  # here, so that no CLI step imports it
-    group = {t: b for b, g in enumerate(_construction_groups(params)) for t in g}
-    code = "B" if params.N <= 1 << 8 else "H" if params.N <= 1 << 16 else "I"
-    return array(code, map(group.__getitem__, enumerate_lex(params.n, params.d)))
+def _rank_table(base: Partition, kept: int):
+    """When base is a live construction: its group (from 0) of the tuple of each
+    0-based rank C(n, d) - 1 - sum_i C(n - t_i, d - i), 1, 2 or 4 bytes an entry as
+    N needs.  A missing table is built only for an X of at least half the tuples,
+    where the build and the rank path together cost less than the set path; its
+    loop is generated for d, so that it unpacks each tuple into d locals."""
+    global _table
+    n, d, total = base.n, base.d, binomial(base.n, base.d)
+    if _constructions.get(id(base)) is not base or _table[0] != base.params and 2 * kept < total:
+        return None
+    if _table[0] != base.params:
+        size = 1 if base.N <= 1 << 8 else 2 if base.N <= 1 << 16 else 4
+        table = memoryview(bytearray(total * size)).cast("BHI"[size // 2])
+        weights = [[(total - 1) * (i == 0) - binomial(n - v, d - i) for v in range(n + 1)]
+                   for i in range(d)]
+        ts, ws = (", ".join(f"{c}{i}" for i in range(d)) for c in "tw")
+        scope: dict = {}
+        exec(f"def deal(table, groups, {ws}):\n"
+             "    for b, g in enumerate(groups):\n"
+             f"        for {ts}, in g:\n"
+             f"            table[{' + '.join(f'w{i}[t{i}]' for i in range(d))}] = b\n", scope)
+        scope.pop("deal")(table, base.groups, *weights)  # popped, so no cycle is left
+        _table = base.params, table
+    return _table[1]
 
 
 def eligible_placement(params: ICParameters) -> tuple[tuple[int, ...], ...]:

@@ -57,17 +57,21 @@ class TaskSet(Record):
         return TaskSet(n, d, tuple(enumerate_lex(n, d)), phi=1.0)
 
 
-_kept = (lambda: None, None)  # a weak reference to the latest thinned X, and its keep bytes
+_kept: list = [lambda: None, None]  # a weak reference to the latest thinned X, and its keep bytes
 
 
 def remember_kept(tasks: TaskSet, keep: bytes) -> TaskSet:
-    """Remember that keep[r - 1] is truthy iff rank r is an edge of tasks; return tasks."""
-    global _kept
-    _kept = ref(tasks), keep
+    """Remember, until tasks is freed or another X is remembered, that keep[r - 1]
+    is truthy iff rank r is an edge of tasks; return tasks."""
+    _kept[:] = ref(tasks, _forget), keep
     return tasks
+
+
+def _forget(owner: ref) -> None:
+    if _kept[0] is owner:  # not since replaced by a later X
+        _kept[1] = None
 
 
 def kept_ranks(tasks: TaskSet) -> bytes | None:
     """The keep bytes remembered for this very TaskSet, else None."""
-    owner, keep = _kept
-    return keep if owner() is tasks else None
+    return _kept[1] if _kept[0]() is tasks else None

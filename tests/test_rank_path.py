@@ -1,7 +1,7 @@
-"""refine's rank path: an X fresh from thin, refined against the construction,
-is dealt out by the construction's group per lexicographic rank.  It must give
-exactly what intersecting each group with the set of X's edges gives, and every
-other input must take that set path."""
+"""refine's rank path: an X fresh from thin, refined against a partition that
+build_base_partition returned, is dealt out by the construction's group per
+lexicographic rank.  It must give exactly what intersecting each group with the
+set of X's edges gives, and every other input must take that set path."""
 
 import gc
 
@@ -10,14 +10,7 @@ import pytest
 from ic_alloc import design, tasks
 from ic_alloc.baselines import ThinningSpec, thin
 from ic_alloc.combinatorics import binomial
-from ic_alloc.design import (
-    ICParameters,
-    Partition,
-    _group_of_rank,
-    build_base_partition,
-    derive_parameters,
-    refine,
-)
+from ic_alloc.design import Partition, build_base_partition, derive_parameters, refine
 from ic_alloc.formats import emit_partition, emit_tasks, parse_partition, parse_tasks
 from ic_alloc.tasks import TaskSet
 
@@ -37,12 +30,8 @@ CASES = {
 
 
 @pytest.fixture(autouse=True)
-def fresh_tables():
-    design._asks.cache_clear()
-    _group_of_rank.cache_clear()
-    yield
-    design._asks.cache_clear()
-    _group_of_rank.cache_clear()
+def no_table(monkeypatch):
+    monkeypatch.setattr(design, "_table", (None, None))
 
 
 @pytest.fixture
@@ -63,12 +52,22 @@ def plain(base: Partition, x: TaskSet):
     return tuple(tuple(t for t in g if t in wanted) for g in base.groups)
 
 
-def test_a_one_shot_refine_takes_the_set_path_and_builds_no_table(set_path):
+def test_a_refine_of_a_small_x_takes_the_set_path_and_builds_no_table(set_path):
     base = build_base_partition(derive_parameters(12, 2, 8))
-    x = thin(12, 2, ThinningSpec(phi=0.5, seed=1))
+    x = thin(12, 2, ThinningSpec(phi=0.2, seed=1))
+    assert 2 * len(x) < binomial(12, 2)
     assert refine(base, x).groups == plain(base, x)
     assert set_path == [len(x)]
-    assert _group_of_rank.cache_info().currsize == 0
+    assert design._table == (None, None)
+
+
+def test_a_refine_of_a_large_x_builds_the_table_and_takes_the_rank_path(set_path):
+    base = build_base_partition(derive_parameters(12, 2, 8))
+    x = thin(12, 2, ThinningSpec(phi=0.8, seed=1))
+    assert 2 * len(x) >= binomial(12, 2)
+    assert refine(base, x).groups == plain(base, x)
+    assert set_path == []
+    assert design._table[0] == base.params
 
 
 @pytest.mark.parametrize("seed", [3, 2**62 + 5])
@@ -78,15 +77,15 @@ def test_rank_path_equals_the_set_path(case, phi, seed, set_path):
     n, d, N = CASES[case]
     params = derive_parameters(n, d, N)
     base = build_base_partition(params)
-    refine(base, thin(n, d, ThinningSpec(phi=0.3, seed=seed + 1)))  # the first ask
+    refine(base, thin(n, d, ThinningSpec(phi=1.0, seed=seed + 1)))  # builds the table
     x = thin(n, d, ThinningSpec(phi=phi, seed=seed))
     ranked = refine(base, x)
-    assert len(set_path) == 1  # only the first ask took it
+    assert set_path == []
     # a copy of x has no keep bytes, so it takes the set path
     assert ranked == refine(base, TaskSet(**x.__dict__))
-    assert len(set_path) == 2
+    assert len(set_path) == 1
     assert ranked.groups == plain(base, x)
-    table = _group_of_rank(params)
+    table = design._table[1]
     assert len(table) == binomial(n, d)
     assert table.itemsize == (1 if N <= 256 else 2)
 
@@ -94,21 +93,41 @@ def test_rank_path_equals_the_set_path(case, phi, seed, set_path):
 def test_repeated_thin_and_refine_stay_on_the_rank_path(set_path):
     n, d, N = 121, 3, 40
     base = build_base_partition(derive_parameters(n, d, N))
-    for i, phi in enumerate([0.1, 0.5, 0.9, 0.1, 0.5]):
+    for i, phi in enumerate([0.1, 0.9, 0.5, 0.1, 0.5]):
         x = thin(n, d, ThinningSpec(phi=phi, seed=i))
         fp = refine(base, x)
         assert sum(map(len, fp.groups)) == len(x)
-    assert len(set_path) == 1, "a refine after the first fell back to the set path"
-    # an equal construction built again takes the rank path too
+    # only the first, too small to pay for the table, took the set path
+    assert len(set_path) == 1, "a refine after the table was built fell back to the set path"
+    # an equal construction built again takes the rank path with the same table
+    table = design._table[1]
     again = build_base_partition(derive_parameters(n, d, N))
-    refine(again, thin(n, d, ThinningSpec(phi=0.5, seed=9)))
-    assert len(set_path) == 1
+    refine(again, thin(n, d, ThinningSpec(phi=0.1, seed=9)))
+    assert len(set_path) == 1 and design._table[1] is table
+
+
+def test_an_evicted_construction_is_not_rebuilt_by_refine(set_path):
+    n, d, N = 12, 3, 8
+    base = build_base_partition(derive_parameters(n, d, N))
+    for other in ((13, 3, 6), (12, 2, 8)):  # two more (n, d, k): the cache holds two
+        build_base_partition(derive_parameters(*other))
+    built = design._prime_partition.cache_info().misses
+    x = thin(n, d, ThinningSpec(phi=0.8, seed=2))
+    assert refine(base, x).groups == plain(base, x)
+    assert set_path == []
+    assert design._prime_partition.cache_info().misses == built
+
+
+def test_a_new_parameter_set_replaces_the_table():
+    for n, d, N in ((12, 2, 8), (13, 2, 6)):
+        base = build_base_partition(derive_parameters(n, d, N))
+        refine(base, thin(n, d, ThinningSpec(phi=1.0, seed=1)))
+        assert design._table[0] == base.params
 
 
 def _warm(base: Partition, n: int, d: int) -> None:
-    # two rank-path asks, so that the table is built
-    for seed in (101, 102):
-        refine(base, thin(n, d, ThinningSpec(phi=0.5, seed=seed)))
+    # a refine of the whole of X, which builds the table
+    refine(base, thin(n, d, ThinningSpec(phi=1.0, seed=101)))
 
 
 def test_a_stale_memo_takes_the_set_path(set_path):
@@ -117,11 +136,10 @@ def test_a_stale_memo_takes_the_set_path(set_path):
     _warm(base, n, d)
     x1 = thin(n, d, ThinningSpec(phi=0.5, seed=1))
     x2 = thin(n, d, ThinningSpec(phi=0.5, seed=2))
-    before = len(set_path)
     assert refine(base, x1).groups == plain(base, x1)
-    assert len(set_path) == before + 1
+    assert len(set_path) == 1
     assert refine(base, x2).groups == plain(base, x2)
-    assert len(set_path) == before + 1
+    assert len(set_path) == 1
 
 
 def _moved(p: Partition) -> Partition:
@@ -134,39 +152,23 @@ def _moved(p: Partition) -> Partition:
     return Partition(**{**p.__dict__, "groups": tuple(groups)})
 
 
-def _forged(p: Partition) -> Partition:
-    # params that no (n, d, N) derives
-    return Partition(**{**p.__dict__, "params": ICParameters(**{**p.params.__dict__, "q": 7})})
-
-
-@pytest.mark.parametrize("other", ["moved_tuple", "forged_params", "refined", "no_params"])
-def test_a_base_other_than_the_construction_takes_the_set_path(other, set_path):
+@pytest.mark.parametrize("other", ["parsed", "copy", "moved_tuple", "refined", "no_params"])
+def test_a_base_other_than_a_built_construction_takes_the_set_path(other, set_path):
     n, d, N = 12, 2, 8
     base = build_base_partition(derive_parameters(n, d, N))
     _warm(base, n, d)
     parsed = parse_partition(emit_partition(base))
     assert parsed.params == base.params
     given = {
+        "parsed": lambda: parsed,
+        "copy": lambda: Partition(**base.__dict__),
         "moved_tuple": lambda: _moved(parsed),
-        "forged_params": lambda: _forged(parsed),
         "refined": lambda: refine(base, thin(n, d, ThinningSpec(phi=0.5, seed=7))),
         "no_params": lambda: Partition(**{**parsed.__dict__, "params": None}),
     }[other]()
     x = thin(n, d, ThinningSpec(phi=0.6, seed=8))
-    before = len(set_path)
     assert refine(given, x).groups == plain(given, x)
-    assert len(set_path) == before + 1
-
-
-def test_a_parsed_copy_of_the_construction_takes_the_rank_path(set_path):
-    n, d, N = 12, 2, 8
-    base = build_base_partition(derive_parameters(n, d, N))
-    _warm(base, n, d)
-    parsed = parse_partition(emit_partition(base))
-    x = thin(n, d, ThinningSpec(phi=0.5, seed=4))
-    before = len(set_path)
-    assert refine(parsed, x).groups == plain(base, x)
-    assert len(set_path) == before
+    assert len(set_path) == 1
 
 
 def test_a_parsed_task_set_takes_the_set_path(set_path):
@@ -176,9 +178,8 @@ def test_a_parsed_task_set_takes_the_set_path(set_path):
     x = thin(n, d, ThinningSpec(phi=0.5, seed=4))
     parsed = parse_tasks(emit_tasks(x))
     assert parsed == x
-    before = len(set_path)
     assert refine(base, parsed) == refine(base, x)
-    assert len(set_path) == before + 1
+    assert len(set_path) == 1
 
 
 def test_the_memo_holds_no_strong_reference_to_the_task_set():
@@ -189,6 +190,18 @@ def test_the_memo_holds_no_strong_reference_to_the_task_set():
     del x
     gc.collect()
     assert owner() is None
+    assert tasks._kept[1] is None  # the keep bytes went with it
+
+
+def test_an_earlier_task_set_freed_leaves_the_latest_memo():
+    x1 = thin(10, 2, ThinningSpec(phi=0.5, seed=1))
+    held = tasks._kept[0]  # x1's reference outlives the memo, so its callback runs
+    x2 = thin(10, 2, ThinningSpec(phi=0.5, seed=2))
+    keep = tasks.kept_ranks(x2)
+    del x1
+    gc.collect()
+    assert held() is None
+    assert keep is not None and tasks.kept_ranks(x2) is keep
 
 
 def test_thin_adds_no_field_to_the_task_set():
@@ -201,5 +214,4 @@ def test_build_base_partition_never_builds_the_table():
     params = derive_parameters(12, 2, 8)
     for _ in range(3):
         build_base_partition(params)
-    assert _group_of_rank.cache_info().currsize == 0
-    assert design._asks.cache_info().currsize == 0
+    assert design._table == (None, None)

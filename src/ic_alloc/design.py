@@ -45,7 +45,7 @@ from .errors import (
     UnsupportedParameters,
 )
 from .records import Record
-from .tasks import TaskSet, kept_ranks
+from .tasks import TaskSet, kept_ranks, refuse_duplicates
 
 DIVISIBLE = "divisible"
 NONDIVISIBLE = "nondivisible"
@@ -535,10 +535,18 @@ def assign_tasks(params: ICParameters, tasks: TaskSet) -> Partition:
     )
 
 
+def validate_groups(groups, n: int, d: int) -> tuple[tuple[DTuple, ...], ...]:
+    """The groups as tuples of canonical d-tuples, each checked by validate_dtuples.  A tuple
+    listed twice raises DuplicateEdge: one sorted flat list finds it, in less memory than a set."""
+    groups = tuple(tuple(validate_dtuples(g, n, d)) for g in groups)
+    refuse_duplicates(list(chain.from_iterable(groups)))
+    return groups
+
+
 def partition_from_groups(n: int, d: int, groups) -> Partition:
-    """Wrap explicit groups (e.g. a hand-written partition) with their own
-    footprints as placement.  Every tuple is validated, a group at a time."""
-    return _own_placement(n, d, tuple(tuple(validate_dtuples(g, n, d)) for g in groups), None)
+    """Wrap explicit groups (e.g. a hand-written partition), checked by validate_groups as
+    parse_partition checks a file's, with their own footprints as placement."""
+    return _own_placement(n, d, validate_groups(groups, n, d), None)
 
 
 def _own_placement(n: int, d: int, groups, metadata: dict | None) -> Partition:

@@ -5,9 +5,9 @@ space-separated ascending file indices.  '#' starts a comment; blank lines
 are ignored.  Metadata comments of the form "# key: value" are recognized
 for format_version (which must be 1), phi, seed, and generator.
 
-Partitions are a single JSON document with keys format_version, n, d, N,
-case, params, groups, footprints, metadata.  Sweep output is CSV with a
-fixed header.
+Partitions are one JSON document (format_version, n, d, N, case, params, groups,
+footprints, metadata); parse_partition checks the groups (design.validate_groups)
+and footprints (ascending in [1, n]).  Sweep output is CSV with a fixed header.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from itertools import chain, groupby, islice
 from operator import eq, lt
 from typing import get_args, get_type_hints
 
-from .design import ICParameters, Partition
-from .errors import DuplicateEdge, IndexOutOfBounds, ParseError, SchemaError
+from .design import ICParameters, Partition, validate_groups
+from .errors import DuplicateEdge, ICAllocError, IndexOutOfBounds, ParseError, SchemaError
 from .tasks import TaskSet
 
 FORMAT_VERSION = 1
@@ -209,34 +209,34 @@ def parse_partition(text: str) -> Partition:
         wrong = sorted(k for k, v in doc["params"].items() if type(v) not in _PARAM_TYPES[k])
         if wrong:
             raise SchemaError(f"params values of the wrong type: {wrong}")
-    rows = doc["groups"]
     try:
-        # pop each group's JSON lists as it is converted (last first), so the
-        # document's groups and their tuple copy are never both whole in memory
-        groups = tuple(tuple(map(tuple, rows.pop())) for _ in range(len(rows)))[::-1]
         placement = tuple(map(tuple, doc["footprints"]))
-    except (TypeError, AttributeError) as exc:
+    except TypeError as exc:
         raise SchemaError(f"bad value: {exc}") from exc
-    # every file index and n, d, N must be an int, checked in one C-level
-    # scan, so a float, string or bool is refused rather than converted
-    stored = chain(chain.from_iterable(chain.from_iterable(groups)),
-                   chain.from_iterable(placement))
-    bad = set(map(type, stored)) | {type(doc[k]) for k in ("n", "d", "N")}
-    bad.discard(int)
-    if bad:
-        names = sorted(t.__name__ for t in bad)
-        raise SchemaError(f"file indices and n, d, N must be integers, found {names}")
+    # a float, string or bool footprint file index or n, d, N is refused, not converted
+    stored = chain(chain.from_iterable(placement), (doc[k] for k in ("n", "d", "N")))
+    if bad := sorted({t.__name__ for t in map(type, stored)} - {"int"}):
+        raise SchemaError(f"file indices and n, d, N must be integers, found {bad}")
     n, d, N = doc["n"], doc["d"], doc["N"]
     if not 1 <= d <= n or N < 1:
         raise SchemaError(f"need 1 <= d <= n and N >= 1, got n={n} d={d} N={N}")
+    rows = doc["groups"]
+    try:
+        # popped as checked (last first): the JSON groups and their tuples are never both whole
+        groups = validate_groups((rows.pop() for _ in range(len(rows))), n, d)[::-1]
+    except (TypeError, AttributeError) as exc:
+        raise SchemaError(f"bad value: {exc}") from exc
+    except ICAllocError as exc:
+        raise SchemaError(f"bad groups: {exc}") from exc
     if len(groups) != N or len(placement) != N:
-        raise SchemaError(
-            f"N={N} but {len(groups)} groups / {len(placement)} footprints"
-        )
+        raise SchemaError(f"N={N} but {len(groups)} groups / {len(placement)} footprints")
     stored = (n, d, N, None) if params is None else (params.n, params.d, params.N, params.case)
     if stored != (n, d, N, doc["case"]):
         raise SchemaError(f"params {stored} disagree with the document's n, d, N and case "
                           f"{(n, d, N, doc['case'])}")
+    # 0 < e[0] < ... < e[-1] < n + 1; an empty entry is an empty group's footprint
+    if not all(all(map(lt, (0, *e), (*e, n + 1))) for e in placement):
+        raise SchemaError(f"each footprint must be strictly ascending file indices in [1, {n}]")
     return Partition(n, d, groups, placement, params, doc["metadata"])
 
 

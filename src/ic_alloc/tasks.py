@@ -45,16 +45,20 @@ class TaskSet(Record):
     def from_edges(n: int, d: int, edges: Iterable[Iterable[int]]) -> "TaskSet":
         """Canonicalize arbitrary edge input: validate every edge as a strictly
         increasing d-tuple over [1, n] (as one batch), sort, reject dupes."""
-        canon = validate_dtuples(edges, n, d)
-        canon.sort()
-        for dup in compress(canon, map(eq, canon, islice(canon, 1, None))):  # the first one
-            raise DuplicateEdge(f"edge {dup} listed twice")
-        return TaskSet(n, d, tuple(canon))
+        return TaskSet(n, d, tuple(refuse_duplicates(validate_dtuples(edges, n, d))))
 
     @staticmethod
     def full(n: int, d: int) -> "TaskSet":
         """The complete d-uniform task set on [1, n]."""
         return TaskSet(n, d, tuple(enumerate_lex(n, d)), phi=1.0)
+
+
+def refuse_duplicates(edges: list[DTuple]) -> list[DTuple]:
+    """Sort edges in place and return them; raise DuplicateEdge at the first one listed twice."""
+    edges.sort()
+    for dup in compress(edges, map(eq, edges, islice(edges, 1, None))):
+        raise DuplicateEdge(f"edge {dup} listed twice")
+    return edges
 
 
 _kept: list = [lambda: None, None]  # a weak reference to the latest thinned X, and its keep bytes

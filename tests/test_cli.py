@@ -1,5 +1,7 @@
+import ast
 import gc
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ic_alloc import cli, harness, verify
+from ic_alloc import cli, harness, metrics, verify
 from ic_alloc.baselines import ThinningSpec, lex_partition, thin
 from ic_alloc.cli import main
 from ic_alloc.design import (
@@ -102,9 +104,9 @@ def test_verify_rejects_tampered_partition(tmp_path, capsys):
     doc = json.loads(part.read_text())
     doc["groups"][0].append(doc["groups"][1][0])  # duplicate an edge across groups
     part.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "verify", "--partition", str(part))
+    code, out, err = run(capsys, "verify", "--partition", str(part))
     assert code == 1
-    assert json.loads(out)["ok"] is False
+    assert out == "" and err.startswith("error: bad groups: edge ")  # refused at parse
 
 
 def test_verify_rejects_group_outside_its_placement(tmp_path, capsys):
@@ -473,12 +475,6 @@ def _swap(doc, a, b, ta, tb):
 # Each edit of the complete n=12, d=2, N=3 partition (families {1-4},
 # {5-8}, {9-12}) must fail the named check; other checks may fail too.
 TAMPERS = {
-    "edges_well_formed-descending": (
-        "edges_well_formed", lambda doc: doc["groups"][0].__setitem__(0, [2, 1])),
-    "edges_well_formed-zero": (
-        "edges_well_formed", lambda doc: doc["groups"][0].__setitem__(0, [0, 1])),
-    "edge_count_within_universe": (
-        "edge_count_within_universe", lambda doc: doc["groups"][0].append([1, 2])),
     "params_rederivable": (
         "params_rederivable", lambda doc: doc["params"].__setitem__("q", 2)),
     # (5, 9) lifts the first group's footprint to 9 files, past s*d = 8
@@ -507,6 +503,48 @@ def test_verify_check_fails_on_tampered_partition(case, tmp_path, capsys):
     assert f"FAIL {check}:" in err
 
 
+def _drop_and_duplicate(doc):
+    # group 1 loses a tuple and group 2 lists one of its own twice: the
+    # tuple count still equals the 66 tasks of the complete file
+    doc["groups"][0].pop()
+    doc["groups"][1].append(doc["groups"][1][0])
+
+
+# Each edit ends at parse, so eval, eval --tasks and verify all refuse the file
+PARSE_TAMPERS = {
+    # each of the first three rows is named after the verify check its edit
+    # would fail if the file parsed
+    "edges_well_formed-descending": (
+        lambda: _partition_doc(12, 2, 3), lambda doc: doc["groups"][0].__setitem__(0, [2, 1])),
+    "edges_well_formed-zero": (
+        lambda: _partition_doc(12, 2, 3), lambda doc: doc["groups"][0].__setitem__(0, [0, 1])),
+    "edge_count_within_universe": (
+        lambda: _partition_doc(12, 2, 3), lambda doc: doc["groups"][0].append([1, 2])),
+    "complete-descending-first-edge": (
+        lambda: _partition_doc(12, 2, 4), lambda doc: doc["groups"][0].__setitem__(0, [2, 1])),
+    "complete-three-element-first-edge": (
+        lambda: _partition_doc(12, 2, 4), lambda doc: doc["groups"][0].__setitem__(0, [1, 2, 3])),
+    "complete-dropped-and-duplicated": (lambda: _partition_doc(12, 2, 4), _drop_and_duplicate),
+    "baseline-footprint-out-of-range": (
+        lambda: json.loads(emit_partition(lex_partition(TaskSet.full(8, 2), 3))),
+        lambda doc: doc["footprints"][0].extend([1000, 0])),
+}
+
+
+@pytest.mark.parametrize("case", list(PARSE_TAMPERS))
+def test_malformed_file_ends_at_parse(case, tmp_path, capsys):
+    make, tamper = PARSE_TAMPERS[case]
+    doc = make()
+    tamper(doc)
+    part, tasks = tmp_path / "p.json", tmp_path / "x.txt"
+    part.write_text(json.dumps(doc))
+    tasks.write_text(emit_tasks(TaskSet.full(doc["n"], doc["d"])))
+    for argv in (["eval"], ["eval", "--tasks", str(tasks)], ["verify"]):
+        code, out, err = run(capsys, *argv, "--partition", str(part))
+        assert code == 1 and out == "", argv
+        assert len([line for line in err.splitlines() if line.startswith("error: ")]) == 1, err
+
+
 CHECK_NAMES = [
     "edges_well_formed", "groups_disjoint", "edge_count_within_universe",
     "assignments_feasible", "params_rederivable", "promised_bounds",
@@ -514,26 +552,41 @@ CHECK_NAMES = [
 ]
 
 
-def test_verify_scans_edges_only_when_groups_differ_from_construction(monkeypatch):
+def test_verify_validates_no_tuple_itself(monkeypatch):
+    # the groups were checked at parse; verify reads them as given
+    untouched = parse_partition(json.dumps(_partition_doc(12, 2, 3)))
+    doc = _partition_doc(12, 2, 3)
+    _swap(doc, 0, 1, [1, 2], [2, 3])
+    swapped = parse_partition(json.dumps(doc))
+
     calls, scans = [], []
-    real = verify.validate_dtuple
-    monkeypatch.setattr(
-        verify, "validate_dtuple", lambda t, n, d: calls.append(t) or real(t, n, d))
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("ic_alloc"):
+            for name in ("validate_dtuple", "validate_dtuples"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
     within = verify._within_placement
     monkeypatch.setattr(verify, "_within_placement", lambda p: scans.append(p) or within(p))
 
-    untouched = parse_partition(json.dumps(_partition_doc(12, 2, 3)))
     checks = verify.run_invariant_checks(untouched)
     assert [c.name for c in checks] == CHECK_NAMES and all(c.ok for c in checks)
-    assert calls == [] and scans == []
-
-    doc = _partition_doc(12, 2, 3)
-    _swap(doc, 0, 1, [1, 2], [2, 3])
-    checks = {c.name: c for c in verify.run_invariant_checks(parse_partition(json.dumps(doc)))}
-    assert len(calls) == 66 and len(scans) == 1
+    assert scans == []
+    checks = {c.name: c for c in verify.run_invariant_checks(swapped)}
+    assert len(scans) == 1
     assert checks["edges_well_formed"].ok and checks["edges_well_formed"].detail == (
         "0 malformed edges")
     assert not checks["matches_construction"].ok
+    assert calls == []
+
+
+@pytest.mark.parametrize("module", [verify, metrics, cli])
+def test_readers_of_a_parsed_partition_validate_no_tuple(module):
+    # tuples are validated where they enter the program, not again by the
+    # modules that read a parsed partition
+    calls = {getattr(node.func, "id", getattr(node.func, "attr", None))
+             for node in ast.walk(ast.parse(inspect.getsource(module)))
+             if isinstance(node, ast.Call)}
+    assert not calls & {"validate_dtuple", "validate_dtuples"}
 
 
 def _refined_doc(n, d, N, phi, seed):

@@ -42,6 +42,7 @@ from ic_alloc.design import (
 )
 from ic_alloc.errors import (
     DimensionMismatch,
+    DuplicateEdge,
     InstanceTooLarge,
     InvalidDimensions,
     UnsupportedParameters,
@@ -661,3 +662,10 @@ def test_partition_from_groups_builds_placement():
     fp = partition_from_groups(7, 2, [[(1, 2), (1, 3)], [(2, 3), (4, 5)]])
     assert fp.placement == ((1, 2, 3), (2, 3, 4, 5))
     assert fp.N == 2 and fp.params is None
+
+
+@pytest.mark.parametrize("groups", [[[(1, 2), (1, 3)], [(2, 3), [1, 3]]], [[(1, 2), (1, 2)], []]],
+                         ids=["in-two-groups", "twice-in-one-group"])
+def test_partition_from_groups_refuses_a_tuple_listed_twice(groups):
+    with pytest.raises(DuplicateEdge, match=r"edge \(1, [23]\) listed twice"):
+        partition_from_groups(7, 2, groups)

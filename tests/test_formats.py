@@ -238,6 +238,10 @@ def test_partition_round_trip_refined_and_baseline():
     assert back.params is None
     assert back.groups == baseline.groups
 
+    # an empty group's footprint is an empty entry, which the parser takes
+    sparse = lex_partition(TaskSet.from_edges(6, 2, [(1, 2), (3, 4)]), 4)
+    assert parse_partition(emit_partition(sparse)) == sparse
+
 
 def test_emit_then_eval_equals_direct_eval():
     params = derive_parameters(7, 2, 3)
@@ -336,13 +340,19 @@ def _doc_6_2_3():
         # the top-level case must be params.case, or null without params
         lambda doc: doc.__setitem__("case", "bogus"),
         lambda doc: doc.__setitem__("params", None),
+        # a footprint entry must be strictly ascending in [1, n]
+        lambda doc: doc["footprints"][0].extend([1000, 0]),
+        lambda doc: doc["footprints"][0].append(7),
+        lambda doc: doc["footprints"][0].insert(0, 0),
+        lambda doc: doc["footprints"][0].append(doc["footprints"][0][-1]),
     ],
     ids=[
         "float-and-string", "true-and-float", "float", "string-edge",
         "true-footprint", "float-footprint", "float-N", "string-d",
         "group-not-a-list", "float-params-s", "true-params-p", "int-params-k_capped",
         "true-format_version", "float-format_version", "bogus-case",
-        "case-without-params",
+        "case-without-params", "footprint-out-of-range", "footprint-past-n",
+        "footprint-zero", "footprint-repeated",
     ],
 )
 def test_parse_partition_refuses_non_integers(edit):

@@ -68,6 +68,13 @@ def edge_by_edge_from_edges(n, d, edges):
     return TaskSet(n, d, tuple(canon))
 
 
+def edge_by_edge_groups(n, d, groups):
+    # partition_from_groups' check of its groups, edge by edge: the reference
+    checked = tuple(tuple(validate_dtuple(t, n, d) for t in g) for g in groups)
+    edge_by_edge_from_edges(n, d, [t for g in checked for t in g])  # a tuple listed twice
+    return checked
+
+
 # each kind turns a valid edge e over [1, n] into what the batch holds
 EDGE_KINDS = {
     "valid": lambda e, n: e,
@@ -128,7 +135,7 @@ def test_batch_check_matches_edge_by_edge_check(batch):
     assert outcome(TaskSet.from_edges, n, d, edges()) == outcome(
         edge_by_edge_from_edges, n, d, edges())
     assert outcome(lambda: partition_from_groups(n, d, groups()).groups) == outcome(
-        lambda: tuple(tuple(validate_dtuple(t, n, d) for t in g) for g in groups()))
+        edge_by_edge_groups, n, d, groups())
 
 
 def test_a_valid_batch_is_not_checked_edge_by_edge(monkeypatch):

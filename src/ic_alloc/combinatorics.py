@@ -12,7 +12,7 @@ from contextlib import suppress
 from itertools import chain, combinations, islice
 from math import comb
 from operator import lt
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import InvalidArgument, InvalidDimensions, RankOutOfRange
 
@@ -79,16 +79,10 @@ def lex_rank(t, n: int) -> int:
     return _rank(validate_dtuple(t, n), n)
 
 
-def _rank(t: DTuple, n: int) -> int:
-    # lex_rank of a tuple already known to be canonical
+def _rank(t: Sequence[int], n: int) -> int:
+    # lex_rank of a canonical tuple (or list): C(n, d) less the C(n - t_i, d - i) (i from 0) above t
     d = len(t)
-    smaller = 0
-    prev = 0
-    for j, tj in enumerate(t):
-        # sum over v in (prev, tj) of C(n - v, d - j - 1); 0 when tj = prev + 1
-        smaller += comb(n - prev, d - j) - comb(n - tj + 1, d - j)
-        prev = tj
-    return smaller + 1
+    return comb(n, d) - sum(comb(n - x, d - i) for i, x in enumerate(t))
 
 
 def lex_unrank(r: int, n: int, d: int) -> DTuple:
@@ -98,15 +92,12 @@ def lex_unrank(r: int, n: int, d: int) -> DTuple:
     total = binomial(n, d)
     if r < 1 or r > total:
         raise RankOutOfRange(f"rank {r} outside [1, {total}]")
-    rem = r - 1
-    out = []
-    x = 1
-    for i in range(1, d + 1):
-        c = binomial(n - x, d - i)
-        while c <= rem:
-            rem -= c
-            x += 1
-            c = binomial(n - x, d - i)
-        out.append(x)
+    # _rank backwards: total - r = sum_i C(n - t_i, d - i), each t_i the least that still fits
+    out, rem, x = [], total - r, 0
+    for i in range(d):
         x += 1
+        while (c := comb(n - x, d - i)) > rem:
+            x += 1
+        rem -= c
+        out.append(x)
     return tuple(out)

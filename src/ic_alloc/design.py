@@ -29,13 +29,13 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, compress, cycle, islice, product, starmap
+from itertools import chain, combinations, compress, cycle, islice, product, repeat, starmap
 from operator import add
 from typing import Iterator, NamedTuple
 from weakref import WeakValueDictionary
 
-from .combinatorics import DTuple, binomial, validate_dtuple, validate_dtuples
-from .counting import block_bounds, block_index, block_slices
+from .combinatorics import DTuple, _rank, binomial, lex_unrank, validate_dtuple, validate_dtuples
+from .counting import block_bounds, block_index, block_slices, m_beta
 from .covering import Block, PrefixTables, count_below, prefix_tables, ways_by_count
 from .errors import (
     DimensionMismatch,
@@ -194,12 +194,6 @@ def support_of(t, params: ICParameters) -> SupportInfo:
 # ---------------------------------------------------------------------------
 
 
-def _eligible_groups(I: tuple[int, ...], f: int, d: int) -> list[tuple[int, ...]]:
-    """Group labels containing I, in lexicographic order."""
-    rest = [i for i in range(1, f + 1) if i not in I]
-    return sorted(tuple(sorted(I + J)) for J in combinations(rest, d - len(I)))
-
-
 def _support_class(blocks: list[Block], d: int) -> list[DTuple]:
     """The d-tuples taking at least one element from each of these
     intervals and none from elsewhere, each interval lying above the one
@@ -229,15 +223,14 @@ def _prime_partition(n: int, d: int, k: int) -> tuple[tuple[DTuple, ...], ...]:
     and goes to it whole.  Cached on (n, d, k) because every N with the
     same k shares it.
     """
-    params = _derive(n, d, binomial(k, d))
-    rt = Router(params)
-    groups: dict[tuple[int, ...], list[DTuple]] = {sigma: [] for sigma in rt.labels}
+    rt = Router(_derive(n, d, binomial(k, d)))
+    groups: list[list[DTuple]] = [[] for _ in range(rt.params.N_prime)]  # by label rank, from 1
     for cls in rt.classes_within(range(1, k + 1)):
         members = _support_class(cls.blocks, d)
-        for sigma, part in zip(cls.eligible, block_slices(members, len(cls.eligible))):
-            groups[sigma].extend(part)
-
-    return tuple(tuple(sorted(groups[sigma])) for sigma in rt.labels)
+        # the larger slices come first, so only the first min(size, labels) labels get members
+        for j, part in enumerate(block_slices(members, min(cls.size, cls.labels)), start=1):
+            groups[rt.eligible_rank(cls.I, j) - 1].extend(part)
+    return tuple(tuple(sorted(g)) for g in groups)
 
 
 def build_base_partition(params: ICParameters) -> Partition:
@@ -282,32 +275,36 @@ def _within_placement(p: Partition) -> bool:
 
 
 class _SupportClass(NamedTuple):
-    """The tuples with support I (touching the excluded tail or not): their
-    block universe with its count_below prefix tables, their number, and the
-    labels they are dealt to in lexicographic order, each label taking a
-    near-equal contiguous range of the class's lexicographic ranks."""
+    """The tuples with support I (touching the excluded tail or not): their block universe
+    with its count_below prefix tables, their number, the number of labels containing I
+    (each takes a near-equal contiguous range of the class's lexicographic ranks, in label
+    order) and, once a tuple is routed through the class, the rank of each label met."""
 
+    I: tuple[int, ...]
     blocks: list[Block]
     tables: list[PrefixTables]
     size: int
-    eligible: list[tuple[int, ...]]
+    labels: int
+    ranks: list[int]
 
 
 class Router:
     """The closed-form router of one parameter set; the materialized build
     reads its description of the support classes too.
 
-    Everything in it depends only on (n, d, N): the label ranks up front,
-    and, built on first use, each non-empty support class, the count_below
-    prefix tables of each block shape (shared by the classes) and each split
-    label's cut tuples (the first member of every slice after the first) and
-    label_files; in all O(classes + split labels + d^2 (s + g) + N'(s*d + g)), never O(C(n, d)).
+    A label is its rank b0 among the d-subsets sigma of [f], N' - sum_i C(f - sigma_i, d - i)
+    (i from 0), the sum of _weights[i][sigma_i].  Built on first use, it keeps each non-empty
+    support class, the prefix tables of each block shape, each split label's cut tuples, the
+    label ranks of each class routed through (8 bytes for each of its C(f - |I|, d - |I|)
+    labels) and label_files (N' tuples of s*d + g files).  After 20,000 stream tuples that is
+    0.16 MB at (600, 3, 200); at (10000, 5, 10^7), 81 MB of ranks for uniform tuples and 480
+    MB for tuples local to two families, 386 MB of it the 67 one-family classes.
     """
 
     def __init__(self, params: ICParameters):
         self.params = params
-        self.labels = list(combinations(range(1, params.f + 1), params.d))
-        self.label_rank = {sigma: b0 for b0, sigma in enumerate(self.labels, start=1)}
+        self._weights = [[params.N_prime * (i == 0) - binomial(params.f - v, params.d - i)
+                          for v in range(params.f + 1)] for i in range(params.d)]
         self._classes: dict[tuple[tuple[int, ...], bool], _SupportClass] = {}
         self._shapes: dict[tuple[int, ...], PrefixTables] = {}
         self._cuts: dict[int, list[DTuple]] = {}
@@ -318,18 +315,14 @@ class Router:
         cls = self._classes.get((I, exc))
         if cls is None:
             p = self.params
-            size = p.family_size
-            blocks: list[Block] = [((i - 1) * size + 1, i * size) for i in I]
+            blocks: list[Block] = [((i - 1) * p.family_size + 1, i * p.family_size) for i in I]
             if exc:
                 blocks.append((p.n_prime + 1, p.n))
             count = ways_by_count([hi - lo + 1 for lo, hi in blocks], p.d)[p.d]
             if not count:
                 return None
-            # the label tuples themselves, not equal copies
-            eligible = [self.labels[self.label_rank[s] - 1] for s in _eligible_groups(I, p.f, p.d)]
             cls = self._classes[I, exc] = _SupportClass(
-                blocks, prefix_tables(blocks, self._shapes), count, eligible
-            )
+                I, blocks, prefix_tables(blocks, self._shapes), count, m_beta(p.f, p.d, len(I)), [])
         return cls
 
     def classes_within(self, families) -> Iterator[_SupportClass]:
@@ -342,34 +335,48 @@ class Router:
                     if cls is not None:
                         yield cls
 
-    def label_of(self, t: DTuple) -> tuple[int, ...]:
-        """Label sigma of the pre-extension group holding t."""
+    def eligible_rank(self, I: tuple[int, ...], j: int) -> int:
+        """Rank b0 of the j-th label containing I in lexicographic order: I merged
+        with the j-th (d - |I|)-subset of [f] minus I."""
+        rest, e = [x for x in range(1, self.params.f + 1) if x not in I], self.params.d - len(I)
+        J = [rest[q - 1] for q in lex_unrank(j, len(rest), e)] if e else []
+        return _rank(sorted([*I, *J]), self.params.f)
+
+    def label_of(self, t: DTuple) -> int:
+        """Rank b0 of the label of the pre-extension group holding t."""
         p = self.params
-        size, n_prime = p.family_size, p.n_prime
+        size, n_prime, weights = p.family_size, p.n_prime, self._weights
         fams: list[int] = []
+        b0 = 0  # the rank of fams once it holds d families, which is full support
         for x in t:
             if x <= n_prime:
                 i = (x - 1) // size + 1
                 if not fams or fams[-1] != i:
+                    b0 += weights[len(fams)][i]
                     fams.append(i)
+        if len(fams) == p.d:
+            return b0
         I = tuple(fams)
-        exc = t[-1] > n_prime
-        if not exc and len(I) == p.d:
-            return I
-        cls = self.support_class(I, exc)
-        rho = count_below(t, cls.blocks, p.d, cls.tables) + 1
-        return cls.eligible[block_index(cls.size, len(cls.eligible), rho) - 1]
+        cls = self.support_class(I, t[-1] > n_prime)
+        j = block_index(cls.size, cls.labels, count_below(t, cls.blocks, p.d, cls.tables) + 1)
+        if not I:  # the class touching only the tail deals its j-th range to label j
+            return j
+        ranks = cls.ranks
+        if not ranks:  # the class's first routed tuple
+            ranks.extend(repeat(0, cls.labels))
+        ranks[j - 1] = ranks[j - 1] or self.eligible_rank(I, j)
+        return ranks[j - 1]
 
     def route(self, t: DTuple) -> int:
         """Group index in [1, N] of a validated d-tuple t."""
         p = self.params
-        b0 = self.label_rank[self.label_of(t)]
+        b0 = self.label_of(t)
         parts = p.p if b0 <= p.r else p.q
         if parts == 1:
             return b0
         cuts = self._cuts.get(b0)
         if cuts is None:
-            cuts = self._cuts[b0] = self._label_cuts(self.labels[b0 - 1], parts)
+            cuts = self._cuts[b0] = self._label_cuts(lex_unrank(b0, p.f, p.d), parts)
         return b0 + bisect_right(cuts, t) * p.N_prime
 
     @cached_property
@@ -381,10 +388,11 @@ class Router:
         1-based inclusive range of its lexicographic ranks that sigma gets,
         and the group's size before extension.  The full-support class
         (I = sigma) is dealt whole to sigma."""
-        out = []
+        f, out = self.params.f, []
         for cls in self.classes_within(sigma):
-            j = bisect_left(cls.eligible, sigma) + 1
-            start, end = block_bounds(cls.size, len(cls.eligible), j)
+            I = cls.I  # sigma is I merged with the j-th subset of [f] minus I: j ranks the rest
+            j = _rank([x - bisect_left(I, x) for x in sigma if x not in I], f - len(I))
+            start, end = block_bounds(cls.size, cls.labels, j)
             if start <= end:
                 out.append((cls, start, end))
         return out, sum(end - start + 1 for _, start, end in out)
@@ -503,10 +511,13 @@ def eligible_placement(params: ICParameters) -> tuple[tuple[int, ...], ...]:
     """Closed-form placement upper bound: group b + 1 may only ever touch the files
     of its label's families (label b mod N'; the families' combinations come in label
     order) plus the excluded tail.  Used by the streaming path, where exact footprints
-    would require materialization (an N over DEFAULT_MATERIALIZE_CAP is refused first).
+    would require materialization (refused first over the cap, in groups or in file references).
     Groups that share a label share one tuple, and every tuple shares the families' files."""
-    if params.N > DEFAULT_MATERIALIZE_CAP:
-        raise InstanceTooLarge(f"N = {params.N} groups exceeds the cap {DEFAULT_MATERIALIZE_CAP}")
+    files = params.family_size * params.d + params.g  # each label's, 8 bytes a reference
+    if max(params.N, params.N_prime * files) > DEFAULT_MATERIALIZE_CAP:
+        raise InstanceTooLarge(f"N = {params.N} groups, or N' = {params.N_prime} labels of {files} "
+                               f"files each ({8 * params.N_prime * files} bytes), exceeds the cap "
+                               f"{DEFAULT_MATERIALIZE_CAP} ({8 * DEFAULT_MATERIALIZE_CAP} bytes)")
     tail = params.excluded
     per_label = [sum(fams, ()) + tail for fams in combinations(build_families(params), params.d)]
     return tuple(islice(cycle(per_label), params.N))
@@ -516,14 +527,12 @@ def assign_tasks(params: ICParameters, tasks: TaskSet) -> Partition:
     """Streaming refinement: route every edge of X with the parameters'
     Router, never materializing the base partition.  The reported placement
     is the eligible-files bound, a valid (slightly conservative) blind
-    placement, laid out from its Router's label_files.  An N over the cap is refused first."""
+    placement, laid out from its Router's label_files (refused over the cap before routing)."""
     if tasks.n != params.n or tasks.d != params.d:
         raise DimensionMismatch(
             f"tasks are ({tasks.n},{tasks.d}) but parameters are "
             f"({params.n},{params.d})"
         )
-    if params.N > DEFAULT_MATERIALIZE_CAP:  # before the Router builds its N' labels
-        raise InstanceTooLarge(f"N = {params.N} groups exceeds the cap {DEFAULT_MATERIALIZE_CAP}")
     rt = router(params)
     placement = tuple(islice(cycle(rt.label_files), params.N))
     groups: list[list[DTuple]] = [[] for _ in range(params.N)]

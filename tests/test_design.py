@@ -293,34 +293,93 @@ def test_materialization_cap():
         build_base_partition(derive_parameters(6, 2, 10**12))
 
 
+def _run_limited_to_1gb(body: str) -> None:
+    """Run body in a child process limited to 1 GB of address space, with
+    ic_alloc importable, and fail on a nonzero exit."""
+    code = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n" + body
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_streaming_refuses_an_n_over_the_cap_before_allocating():
     # in a child limited to 1 GB of address space, so that a missing check
     # ends in MemoryError rather than in one list entry per group for 10^12
-    # groups, or, at n=14142 (k=14142), in the Router's 99,991,011 labels
-    # for 10^8 groups; the refusal itself takes well under a second
-    code = """if True:
-        import resource, time
-        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    # or 10^8 groups, or, at n=10000, d=5 (N at the cap), in N' = 9,657,648
+    # label tuples of 1,382 files each; the refusal itself takes well under
+    # a second
+    _run_limited_to_1gb("""if True:
+        import time
         from ic_alloc.design import assign_tasks, derive_parameters, eligible_placement
         from ic_alloc.errors import InstanceTooLarge
         from ic_alloc.tasks import TaskSet
-        for n, N in ((6, 10**12), (14142, 10**8)):
-            params = derive_parameters(n, 2, N)
-            for call in (lambda: assign_tasks(params, TaskSet.from_edges(n, 2, [(1, 2)])),
+        for n, d, N, reason in ((6, 2, 10**12, "N = 1000000000000 groups"),
+                                (14142, 2, 10**8, "N = 100000000 groups"),
+                                (10000, 5, 10**7, "N' = 9657648 labels of 1382 files each "
+                                 "(106774956288 bytes)")):
+            params = derive_parameters(n, d, N)
+            edges = [tuple(range(1, d + 1))]
+            for call in (lambda: assign_tasks(params, TaskSet.from_edges(n, d, edges)),
                          lambda: eligible_placement(params)):
                 start = time.perf_counter()
                 try:
                     call()
                 except InstanceTooLarge as exc:
-                    assert f"N = {N} groups" in str(exc), exc
+                    assert reason in str(exc), exc
                 else:
                     raise AssertionError("no InstanceTooLarge")
                 assert time.perf_counter() - start < 1.0
-    """
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    """)
+
+
+def test_router_routes_at_any_n_prime_without_listing_labels():
+    """In a child limited to 1 GB, the first tuple of each kind routes in well
+    under a second at N' = 99,991,011 (n=14142, d=2: one file a family, so
+    every tuple has full support) and N' = 9,657,648 (n=10000, d=5: f=67,
+    s0=139, g=687, 342,352 split labels; label 1 is split at both).  Each
+    lands in a slice of a label holding its families: exactly its families
+    when it has full support."""
+    _run_limited_to_1gb("""if True:
+        import time
+        from ic_alloc.combinatorics import lex_unrank
+        from ic_alloc.design import assign_base_group, derive_parameters
+        cases = {
+            (14142, 2, 10**8): [((5000, 14142), (5000, 14142)),  # full support
+                                ((1, 2), (1, 2))],  # label 1, split
+            (10000, 5, 10**7): [((278, 1000, 3000, 6000, 9313), (2, 8, 22, 44, 67)),
+                                ((1, 140, 279, 418, 557), (1, 2, 3, 4, 5)),  # label 1, split
+                                ((1, 140, 9400, 9500, 9600), (1, 2)),  # the tail
+                                ((2000, 2001, 2002, 2003, 2004), (15,))],  # one family
+        }
+        for (n, d, N), tuples in cases.items():
+            params = derive_parameters(n, d, N)
+            for t, families in tuples:
+                start = time.perf_counter()
+                g = assign_base_group(t, params)
+                assert time.perf_counter() - start < 0.5, (t, time.perf_counter() - start)
+                slice_, b0 = divmod(g - 1, params.N_prime)
+                b0 += 1
+                assert slice_ < (params.p if b0 <= params.r else params.q), (t, g)
+                label = lex_unrank(b0, params.f, d)
+                assert set(families) <= set(label), (t, label)
+    """)
+
+
+def test_eligible_ranks_are_the_positions_of_the_supersets():
+    """For every f <= 9, d <= f and I: the j-th label containing I, I merged
+    with the j-th (d - |I|)-subset of [f] minus I, is the j-th superset of I
+    among the d-subsets of [f] in lexicographic order."""
+    for f in range(1, 10):
+        for d in range(1, f + 1):
+            rt = Router(_derive(f, d, binomial(f, d)))  # k = f: one file a family
+            assert rt.params.f == f
+            labels = list(combinations(range(1, f + 1), d))
+            for beta in range(d + 1):
+                for I in combinations(range(1, f + 1), beta):
+                    expected = [b0 for b0, sigma in enumerate(labels, 1) if set(I) <= set(sigma)]
+                    got = [rt.eligible_rank(I, j) for j in range(1, len(expected) + 1)]
+                    assert got == expected, (f, d, I)
 
 
 # --- partition-level invariants ----------------------------------------------
@@ -402,7 +461,8 @@ def test_label_pieces_size_and_position_match_materialized_groups():
     for n, d, N in [(7, 2, 3), (11, 2, 3), (13, 3, 4), (16, 4, 5), (12, 2, 7)]:
         params = derive_parameters(n, d, N)
         rt = router(params)
-        for sigma, members in zip(rt.labels, _prime_partition(n, d, params.k)):
+        labels = combinations(range(1, params.f + 1), d)
+        for sigma, members in zip(labels, _prime_partition(n, d, params.k)):
             pieces, size = rt.pieces(sigma)
             assert size == len(members), (n, d, N, sigma)
             for i, t in enumerate(members, start=1):
@@ -422,13 +482,14 @@ def test_router_invariants_beyond_materialization_cap(N, case):
         build_base_partition(params)
     slack = (2**d - d) if case == DIVISIBLE else (2 ** (d + 1) - 2 * d)
     rt = router(params)
-    sizes = [rt.pieces(sigma)[1] for sigma in rt.labels]
+    labels = list(combinations(range(1, params.f + 1), d))
+    sizes = [rt.pieces(sigma)[1] for sigma in labels]
     cnd = binomial(n, d)
     assert len(sizes) == params.N_prime and sum(sizes) == cnd
     for sz in sizes:
         assert abs(sz * params.N_prime - cnd) <= slack * params.N_prime
     for b0 in range(1, params.r + 1):
-        sigma = rt.labels[b0 - 1]
+        sigma = labels[b0 - 1]
         pieces, size = rt.pieces(sigma)
         first = 1 + -(-size // params.p)  # the larger slices come first
         cut = rt._label_cuts(sigma, params.p)[0]

@@ -30,7 +30,7 @@ from .counting import block_slices
 from .design import Partition, _own_placement
 from .errors import InvalidArgument, InvalidPhi
 from .records import Record
-from .tasks import GENERATOR_ID, TaskSet, remember_kept
+from .tasks import GENERATOR_ID, TaskSet, _complete, remember_kept
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -94,8 +94,11 @@ class ThinningSpec(Record):
 def thin(n: int, d: int, spec: ThinningSpec) -> TaskSet:
     """Keep each tuple of the complete d-uniform set independently with
     probability phi.  phi=1 keeps everything, phi=0 nothing.  The keep byte
-    of every rank is remembered for the returned X (see refine)."""
-    tuples = enumerate_lex(n, d)
+    of every rank is remembered for the returned X (see refine).  Beside a
+    live complete set of (n, d) (a construction's cache entry holds one), X
+    selects its tuple objects; otherwise X enumerates equal tuples anew."""
+    full = _complete.get((n, d))
+    tuples = enumerate_lex(n, d) if full is None else full.edges
     threshold = min(1 << 64, int(spec.phi * (1 << 64)))
     keep = b"".join(_keep_flags(spec.seed, threshold, binomial(n, d)))
     return remember_kept(TaskSet(

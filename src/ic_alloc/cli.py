@@ -26,12 +26,13 @@ def _show_warning(message, category, *_) -> None:
     _diag(f"{category.__name__}: {message}")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text)
-        print(json.dumps({"out": out, "bytes": len(text)}))
+        with open(out, "w") as fh:
+            size = sum(map(fh.write, chunks))
+        print(json.dumps({"out": out, "bytes": size}))
 
 
 def _read_tasks(path: str):
@@ -41,7 +42,7 @@ def _read_tasks(path: str):
 
 def cmd_partition(args) -> int:
     from .design import build_base_partition, derive_parameters, refine
-    from .formats import emit_partition
+    from .formats import partition_chunks
     params = derive_parameters(args.n, args.d, args.workers)
     fp = build_base_partition(params)
     if args.tasks is not None:
@@ -50,7 +51,7 @@ def cmd_partition(args) -> int:
         f"built {params.case} partition: k={params.k}, "
         f"family_size={params.family_size}, g={params.g}, N'={params.N_prime}"
     )
-    _emit(emit_partition(fp), args.out)
+    _emit(partition_chunks(fp), args.out)
     return 0
 
 
@@ -59,7 +60,7 @@ def cmd_thin(args) -> int:
     from .formats import emit_tasks
     tasks = thin(args.n, args.d, ThinningSpec(phi=args.phi, seed=args.seed))
     _diag(f"kept {len(tasks)} of C({args.n},{args.d}) tuples")
-    _emit(emit_tasks(tasks), args.out)
+    _emit([emit_tasks(tasks)], args.out)
     return 0
 
 
@@ -130,7 +131,7 @@ def cmd_sweep(args) -> int:
     records = sweep(grid_points(axes))
     skipped = sum(1 for r in records if r.error is not None)
     _diag(f"swept {len(records)} points ({skipped} unsupported)")
-    _emit(emit_sweep_csv(records), args.out)
+    _emit([emit_sweep_csv(records)], args.out)
     violations = [r for r in records if r.bounds_ok is False]
     if violations:
         for r in violations:

@@ -16,6 +16,8 @@ Construction outline
     case, tuples touching the excluded tail) are listed lexicographically
     per support set and dealt out in near-equal contiguous blocks to the
     eligible groups, i.e. the sigma containing I, in lexicographic order.
+    The groups are cut from TaskSet.full(n, d) in one lexicographic pass;
+    that set lives as long as the construction's cache entry.
 3.  The N' groups are split into floor(N/N') or ceil(N/N') near-equal
     lexicographic slices and relabelled to give N groups.
 
@@ -28,9 +30,8 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_left, bisect_right
-from functools import cached_property, lru_cache
-from itertools import chain, combinations, compress, cycle, islice, product, repeat, starmap
-from operator import add
+from functools import cached_property, lru_cache, reduce
+from itertools import chain, combinations, compress, cycle, islice, repeat
 from typing import Iterator, NamedTuple
 from weakref import WeakValueDictionary
 
@@ -194,43 +195,64 @@ def support_of(t, params: ICParameters) -> SupportInfo:
 # ---------------------------------------------------------------------------
 
 
-def _support_class(blocks: list[Block], d: int) -> list[DTuple]:
-    """The d-tuples taking at least one element from each of these
-    intervals and none from elsewhere, each interval lying above the one
-    before, in lexicographic order.  Each split of d into per-block counts
-    is a product of the blocks' combinations, already in lexicographic
-    order; the splits interleave, so the class is sorted once."""
-    members: list[DTuple] = []
-    # each block takes 1 to d - (len(blocks) - 1) elements
-    for counts in product(range(1, d - len(blocks) + 2), repeat=len(blocks)):
-        if sum(counts) == d:
-            joined = [()]
-            for (lo, hi), c in zip(blocks, counts):
-                joined = starmap(add, product(joined, combinations(range(lo, hi + 1), c)))
-            members.extend(joined)
-    members.sort()
-    return members
+class _Groups(tuple):
+    """_prime_partition's groups; `full` is the complete set whose tuples they hold."""
 
 
 @lru_cache(maxsize=2)
-def _prime_partition(n: int, d: int, k: int) -> tuple[tuple[DTuple, ...], ...]:
+def _prime_partition(n: int, d: int, k: int) -> _Groups:
     """The N' = C(k, d) groups over all of A_{n,d}, lexicographically
     ordered by group label, each group lexicographically sorted.
 
-    Each support class of the Router for (n, d, C(k, d)) is generated from
-    its blocks and cut into the rank ranges it deals to its eligible
-    labels; the full-support class (|I| = d, no tail) has one such label
-    and goes to it whole.  Cached on (n, d, k) because every N with the
-    same k shares it.
+    The groups are cut from TaskSet.full(n, d), whose tuple objects they
+    hold; the cache entry keeps that set alive for thin to select from.  The
+    tuples after each (d - 1)-prefix form a run per family (or the tail) of
+    their last element, each inside one support class of the Router for
+    (n, d, C(k, d)), which deals its ranks in near-equal contiguous ranges to
+    its eligible labels, so every label fills in order.  Cached on (n, d, k)
+    because every N with the same k shares it.
     """
     rt = Router(_derive(n, d, binomial(k, d)))
+    s, n_prime, full = rt.params.family_size, rt.params.n_prime, TaskSet.full(n, d)
     groups: list[list[DTuple]] = [[] for _ in range(rt.params.N_prime)]  # by label rank, from 1
+    # per class (I, touching the tail): [members left in the current label's range, its group,
+    # the later (size, group)s]; the first min(size, labels) labels get members, larger first
+    deal = {}
     for cls in rt.classes_within(range(1, k + 1)):
-        members = _support_class(cls.blocks, d)
-        # the larger slices come first, so only the first min(size, labels) labels get members
-        for j, part in enumerate(block_slices(members, min(cls.size, cls.labels)), start=1):
-            groups[rt.eligible_rank(cls.I, j) - 1].extend(part)
-    return tuple(tuple(sorted(g)) for g in groups)
+        q, r = divmod(cls.size, m := min(cls.size, cls.labels))
+        ranges = iter([(q + (j <= r), groups[rt.eligible_rank(cls.I, j) - 1])
+                       for j in range(1, m + 1)])
+        deal[cls.I, len(cls.blocks) > len(cls.I)] = [*next(ranges), ranges]
+    fam = [0] + [(x - 1) // s + 1 if x <= n_prime else 0 for x in range(1, n + 1)]  # 0: tail
+
+    def grow(I: tuple[int, ...], x: int) -> tuple[int, ...]:
+        return I + (fam[x],) if fam[x] and fam[x] not in I else I
+
+    def runs(I: tuple[int, ...], t: int) -> list:
+        # after a prefix with families I ending at t: a run per family (or tail) of the next element
+        firsts = [t + 1, *(x for x in range(1, n_prime + 2, s) if t + 1 < x <= n)]
+        return [(deal[grow(I, x), not fam[x]], (fam[x] * s or n) - x + 1) for x in firsts]
+
+    rows, edges, o = {}, full.edges, 0  # I -> the runs after each t; o: the next tuple's index
+    # each (d - 1)-prefix is a head Q of d - 2 elements, with families I, and a last element t
+    for Q in combinations(range(1, n - 1), d - 2) if d > 1 else [()]:
+        I = reduce(grow, Q, ())
+        ts = range(Q[-1] + 1 if Q else 1, n) if d > 1 else (0,)  # 0: the empty prefix of d = 1
+        row = rows.get(I)
+        if row is None:  # first met at its least t, so later heads find every t they need
+            row = rows[I] = [None] * ts[0] + [runs(grow(I, t), t) for t in ts]
+        for t in ts:
+            for st, size in row[t]:
+                while size > st[0]:  # the run crosses into the class's next label
+                    st[1] += edges[o:o + st[0]]
+                    o, size = o + st[0], size - st[0]
+                    st[0], st[1] = next(st[2])
+                st[0] -= size
+                st[1] += edges[o:o + size]
+                o += size
+    out = _Groups(map(tuple, groups))
+    out.full = full
+    return out
 
 
 def build_base_partition(params: ICParameters) -> Partition:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from itertools import chain, groupby, islice
 from operator import eq, lt
-from typing import get_args, get_type_hints
+from typing import Iterator, get_args, get_type_hints
 
 from .design import ICParameters, Partition, validate_groups
 from .errors import DuplicateEdge, ICAllocError, IndexOutOfBounds, ParseError, SchemaError
@@ -140,16 +140,15 @@ _PARTITION_KEYS = {
 _PARAM_TYPES = {k: get_args(t) or (t,) for k, t in get_type_hints(ICParameters).items()}
 
 
-def _json_list(items: list[str], indent: int) -> str:
-    # json.dumps(..., indent=2) of a list, from its items' text `indent` deep;
-    # the brackets go onto the first and last items (items is consumed), so
-    # the items' text is copied once, not once per concatenation
-    if not items:
-        return "[]"
-    pad = "\n" + " " * indent
-    items[0] = "[" + pad + items[0]
-    items[-1] += pad[:-2] + "]"
-    return ("," + pad).join(items)
+def _json_list(items, indent: int) -> Iterator[str]:
+    # json.dumps(..., indent=2) of a list, in pieces, from its items' text
+    # `indent` deep; each item is yielded as it comes, never copied
+    pad, sep = "\n" + " " * indent, "["
+    for item in items:
+        yield sep + pad
+        yield item
+        sep = ","
+    yield "[]" if sep == "[" else pad[:-2] + "]"
 
 
 def _int_rows(rows, indent: int) -> str:
@@ -157,15 +156,15 @@ def _int_rows(rows, indent: int) -> str:
     # (one % per group would hold a group's text twice at once)
     chunks = []
     for size, run in groupby(rows, len):
-        row = _json_list(["%d"] * size, indent + 2)
+        row = "".join(_json_list(["%d"] * size, indent + 2))
         while part := tuple(islice(run, 256)):
             template = (",\n" + " " * indent).join([row] * len(part))
             chunks.append(template % tuple(chain.from_iterable(part)))
-    return _json_list(chunks, indent)
+    return "".join(_json_list(chunks, indent))
 
 
-def emit_partition(p: Partition) -> str:
-    """Serialize a partition as the text of json.dumps(doc, indent=2, sort_keys=True)."""
+def partition_chunks(p: Partition) -> Iterator[str]:
+    """emit_partition's text in chunks, made as they are taken: a group's rows in each."""
     doc = {
         "format_version": FORMAT_VERSION,
         "n": p.n,
@@ -181,8 +180,14 @@ def emit_partition(p: Partition) -> str:
     # the keys sorting before each array hold scalars, so its first match is its key
     head, _, text = text.partition('"footprints": 0')
     mid, _, tail = text.partition('"groups": 0')
-    return "".join([head, '"footprints": ', _int_rows(p.placement, 4), mid, '"groups": ',
-                    _json_list([_int_rows(g, 6) for g in p.groups], 4), tail, "\n"])
+    yield from (head, '"footprints": ', _int_rows(p.placement, 4), mid, '"groups": ')
+    yield from _json_list((_int_rows(g, 6) for g in p.groups), 4)
+    yield tail + "\n"
+
+
+def emit_partition(p: Partition) -> str:
+    """Serialize a partition as the text of json.dumps(doc, indent=2, sort_keys=True)."""
+    return "".join(partition_chunks(p))
 
 
 def parse_partition(text: str) -> Partition:

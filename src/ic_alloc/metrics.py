@@ -13,7 +13,7 @@ import math
 from .combinatorics import binomial
 from .counting import phi_min, pi_lower_bound, pi_lower_bound_int
 from .errors import DegenerateDenominator
-from .design import DIVISIBLE, ICParameters, Partition, footprint
+from .design import DIVISIBLE, ICParameters, Partition, _constructions, footprint
 from .records import Record
 from .tasks import GENERATOR_ID
 
@@ -21,6 +21,8 @@ TOL = 1e-9
 
 
 def _footprint_sizes(p: Partition) -> list[int]:
+    if _constructions.get(id(p)) is p:  # a live construction places its groups' footprints
+        return list(map(len, p.placement))
     return [len(footprint(g)) for g in p.groups]
 
 

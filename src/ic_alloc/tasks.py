@@ -6,13 +6,14 @@ from __future__ import annotations
 from itertools import compress, islice
 from operator import eq
 from typing import Iterable
-from weakref import ref
+from weakref import WeakValueDictionary, ref
 
 from .combinatorics import DTuple, enumerate_lex, validate_dtuples
 from .errors import DuplicateEdge, InvalidDimensions
 from .records import Record
 
 GENERATOR_ID = "splitmix64-v1"  # the thinning generator, named by each X it draws
+_complete = WeakValueDictionary()  # (n, d) -> the complete set, while anything holds it
 
 
 class TaskSet(Record):
@@ -49,8 +50,12 @@ class TaskSet(Record):
 
     @staticmethod
     def full(n: int, d: int) -> "TaskSet":
-        """The complete d-uniform task set on [1, n]."""
-        return TaskSet(n, d, tuple(enumerate_lex(n, d)), phi=1.0)
+        """The complete d-uniform task set on [1, n]: the one still alive (a
+        construction's cache entry holds its own), else a new one."""
+        full = _complete.get((n, d))
+        if full is None:  # listed first: every collection walks a tuple growing from an iterator
+            full = _complete[n, d] = TaskSet(n, d, tuple(list(enumerate_lex(n, d))), phi=1.0)
+        return full
 
 
 def refuse_duplicates(edges: list[DTuple]) -> list[DTuple]:

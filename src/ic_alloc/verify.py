@@ -42,7 +42,8 @@ def run_invariant_checks(p: Partition) -> list[Check]:
     # group inside (or, quicker to test, equal to) the construction's; parse checked n, d, N
     if rederived is not None and universe <= DEFAULT_MATERIALIZE_CAP:
         base = build_base_partition(rederived)
-    matches = base is not None and all(
+    same = base is not None and p.groups == base.groups
+    matches = same or base is not None and all(
         g == b or set(b).issuperset(g) for g, b in zip(p.groups, base.groups))
 
     # structural validity, checked at parse
@@ -64,9 +65,9 @@ def run_invariant_checks(p: Partition) -> list[Check]:
         return checks
     add("params_rederivable", rederived == p.params, "stored == derived")
 
-    # the rest is checked against the derived parameters, which a tampered
-    # params object cannot change
-    report = full_report(p, rederived)
+    # the rest is checked against the derived parameters, which a tampered params object
+    # cannot change; groups equal to the construction's take its report (and footprints)
+    report = full_report(base if same else p, rederived)
     add("promised_bounds", report.bounds_ok, "all applicable cost bounds hold")
 
     if base is not None:

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ic_alloc import cli, harness, metrics, verify
+from ic_alloc import cli, design, harness, metrics, verify
 from ic_alloc.baselines import ThinningSpec, lex_partition, thin
 from ic_alloc.cli import main
 from ic_alloc.design import (
@@ -577,6 +577,26 @@ def test_verify_validates_no_tuple_itself(monkeypatch):
         "0 malformed edges")
     assert not checks["matches_construction"].ok
     assert calls == []
+
+
+def test_verify_computes_each_footprint_once(monkeypatch):
+    # the groups of a complete file equal the construction's, whose placement
+    # holds their footprints, so only the build computes them; a refined
+    # file's groups need their own
+    complete = parse_partition(json.dumps(_partition_doc(12, 2, 3)))
+    base = build_base_partition(derive_parameters(12, 2, 3))
+    refined = parse_partition(emit_partition(refine(base, thin(12, 2, ThinningSpec(0.5, 1)))))
+    calls = []
+    footprint = design.footprint
+    for module in (design, metrics):
+        monkeypatch.setattr(module, "footprint", lambda g: calls.append(g) or footprint(g))
+    expected = metrics.full_report(complete, complete.params)
+    calls.clear()
+    checks = verify.run_invariant_checks(complete)
+    assert all(c.ok for c in checks) and len(calls) == 3
+    assert metrics.full_report(base, complete.params) == expected
+    calls.clear()
+    assert all(c.ok for c in verify.run_invariant_checks(refined)) and len(calls) == 6
 
 
 @pytest.mark.parametrize("module", [verify, metrics, cli])

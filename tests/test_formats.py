@@ -8,6 +8,7 @@ import pytest
 from conftest import _reference_parse_tasks
 
 from ic_alloc.baselines import ThinningSpec, lex_partition, thin
+from ic_alloc.cli import _emit
 from ic_alloc.design import Partition, build_base_partition, derive_parameters, refine
 from ic_alloc.errors import DuplicateEdge, IndexOutOfBounds, ParseError, SchemaError
 from ic_alloc.formats import (
@@ -18,6 +19,7 @@ from ic_alloc.formats import (
     emit_tasks,
     parse_partition,
     parse_tasks,
+    partition_chunks,
 )
 from ic_alloc.harness import SweepRecord, sweep
 from ic_alloc.metrics import full_report
@@ -294,6 +296,19 @@ def test_parse_partition_peak_memory_stays_near_its_result():
     parsed, kept, peak = _traced(lambda: parse_partition(text))
     assert parsed.N == 20
     assert peak < 1.6 * kept
+
+
+def test_partition_file_is_written_one_group_at_a_time(tmp_path, capsys):
+    # `partition --out` writes the chunks as they are made, so the traced
+    # peak is about one group's text (0.17 of the file for 20 groups); the
+    # joined text peaks at twice the file
+    base = build_base_partition(derive_parameters(48, 3, 20))
+    path = tmp_path / "p.json"
+    _, _, peak = _traced(lambda: _emit(partition_chunks(base), str(path)))
+    text = emit_partition(base)
+    assert path.read_text() == text
+    assert json.loads(capsys.readouterr().out) == {"out": str(path), "bytes": len(text)}
+    assert peak < 0.3 * len(text)
 
 
 def test_parse_tasks_peak_memory_stays_bounded_by_its_blocks():

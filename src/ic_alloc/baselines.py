@@ -97,12 +97,12 @@ def thin(n: int, d: int, spec: ThinningSpec) -> TaskSet:
     of every rank is remembered for the returned X (see refine).  Beside a
     live complete set of (n, d) (a construction's cache entry holds one), X
     selects its tuple objects; otherwise X enumerates equal tuples anew."""
-    full = _complete.get((n, d))
-    tuples = enumerate_lex(n, d) if full is None else full.edges
     threshold = min(1 << 64, int(spec.phi * (1 << 64)))
     keep = b"".join(_keep_flags(spec.seed, threshold, binomial(n, d)))
-    return remember_kept(TaskSet(
-        n, d, tuple(compress(tuples, keep)),
+    full = _complete.get((n, d))
+    kept = compress(enumerate_lex(n, d) if full is None else full.edges, keep)
+    return remember_kept(TaskSet(  # a streamed X is listed first, as TaskSet.full lists its set
+        n, d, tuple(list(kept) if full is None else kept),
         phi=spec.phi, seed=spec.seed, generator_id=GENERATOR_ID,
     ), keep)
 

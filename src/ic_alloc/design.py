@@ -29,9 +29,11 @@ with X, so successive task sets reuse the same placement.
 from __future__ import annotations
 
 import warnings
+from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, compress, cycle, islice, repeat
+from operator import ne
 from typing import Iterator, NamedTuple
 from weakref import WeakValueDictionary
 
@@ -196,7 +198,7 @@ def support_of(t, params: ICParameters) -> SupportInfo:
 
 
 class _Groups(tuple):
-    """_prime_partition's groups; `full` is the complete set whose tuples they hold."""
+    """Groups cut by the rank ranges `runs` (see _prime_partition) from a complete set."""
 
 
 @lru_cache(maxsize=2)
@@ -205,22 +207,24 @@ def _prime_partition(n: int, d: int, k: int) -> _Groups:
     ordered by group label, each group lexicographically sorted.
 
     The groups are cut from TaskSet.full(n, d), whose tuple objects they
-    hold; the cache entry keeps that set alive for thin to select from.  The
+    hold; the cache entry keeps that set alive, as `full`, for thin.  The
     tuples after each (d - 1)-prefix form a run per family (or the tail) of
     their last element, each inside one support class of the Router for
     (n, d, C(k, d)), which deals its ranks in near-equal contiguous ranges to
-    its eligible labels, so every label fills in order.  Cached on (n, d, k)
-    because every N with the same k shares it.
+    its eligible labels, so every label fills in order.  `runs` keeps the
+    ranges dealt as arrays of 0-based starts and ends in label order, 4 bytes
+    a bound, each range joined to the next where it ends as that begins.
+    Cached on (n, d, k) because every N with the same k shares it.
     """
     rt = Router(_derive(n, d, binomial(k, d)))
     s, n_prime, full = rt.params.family_size, rt.params.n_prime, TaskSet.full(n, d)
-    groups: list[list[DTuple]] = [[] for _ in range(rt.params.N_prime)]  # by label rank, from 1
-    # per class (I, touching the tail): [members left in the current label's range, its group,
-    # the later (size, group)s]; the first min(size, labels) labels get members, larger first
+    spans: list[list[int]] = [[] for _ in range(rt.params.N_prime)]  # by label rank, from 1
+    # per class (I, touching the tail): [members left in the current label's range, its spans,
+    # the later (size, spans)]; the first min(size, labels) labels get members, larger first
     deal = {}
     for cls in rt.classes_within(range(1, k + 1)):
         q, r = divmod(cls.size, m := min(cls.size, cls.labels))
-        ranges = iter([(q + (j <= r), groups[rt.eligible_rank(cls.I, j) - 1])
+        ranges = iter([(q + (j <= r), spans[rt.eligible_rank(cls.I, j) - 1])
                        for j in range(1, m + 1)])
         deal[cls.I, len(cls.blocks) > len(cls.I)] = [*next(ranges), ranges]
     fam = [0] + [(x - 1) // s + 1 if x <= n_prime else 0 for x in range(1, n + 1)]  # 0: tail
@@ -233,7 +237,7 @@ def _prime_partition(n: int, d: int, k: int) -> _Groups:
         firsts = [t + 1, *(x for x in range(1, n_prime + 2, s) if t + 1 < x <= n)]
         return [(deal[grow(I, x), not fam[x]], (fam[x] * s or n) - x + 1) for x in firsts]
 
-    rows, edges, o = {}, full.edges, 0  # I -> the runs after each t; o: the next tuple's index
+    rows, o = {}, 0  # I -> the runs after each t; o: the next tuple's rank, from 0
     # each (d - 1)-prefix is a head Q of d - 2 elements, with families I, and a last element t
     for Q in combinations(range(1, n - 1), d - 2) if d > 1 else [()]:
         I = reduce(grow, Q, ())
@@ -244,14 +248,18 @@ def _prime_partition(n: int, d: int, k: int) -> _Groups:
         for t in ts:
             for st, size in row[t]:
                 while size > st[0]:  # the run crosses into the class's next label
-                    st[1] += edges[o:o + st[0]]
+                    st[1] += (o, o + st[0]) if st[0] else ()  # none for a label already full
                     o, size = o + st[0], size - st[0]
                     st[0], st[1] = next(st[2])
                 st[0] -= size
-                st[1] += edges[o:o + size]
+                st[1] += o, o + size
                 o += size
-    out = _Groups(map(tuple, groups))
-    out.full = full
+    bounds = list(chain.from_iterable(spans))
+    apart = list(map(ne, bounds[1:-1:2], bounds[2::2]))  # false where two ranges join
+    merged = array("I", compress(bounds, chain((1,), chain.from_iterable(zip(apart, apart)), (1,))))
+    cut = full.edges.__getitem__
+    out = _Groups(tuple(chain.from_iterable(map(cut, map(slice, b[::2], b[1::2])))) for b in spans)
+    out.full, out.runs = full, (merged[::2], merged[1::2])
     return out
 
 
@@ -270,20 +278,27 @@ def build_base_partition(params: ICParameters) -> Partition:
             "only the library calls assign_base_group and assign_tasks stream"
         )
     out: list[tuple[DTuple, ...]] = [()] * params.N  # slice j of label b0 (from 0): b0 + j * N'
-    for b0, members in enumerate(_prime_partition(params.n, params.d, params.k)):
+    for b0, members in enumerate(prime := _prime_partition(params.n, params.d, params.k)):
         for j, part in enumerate(block_slices(members, params.p if b0 < params.r else params.q)):
             out[b0 + j * params.N_prime] = part
-    groups = tuple(out)
-    base = Partition(
-        params.n, params.d, groups, tuple(footprint(g) for g in groups), params, {"phi": 1.0}
-    )
+    groups = _Groups(out)
+    groups.runs = prime.runs
+    # group b touches only the families of label b mod N' and the tail, so its scan stops there
+    placement = tuple(map(footprint, groups, cycle(_label_files(params))))
+    base = Partition(params.n, params.d, groups, placement, params, {"phi": 1.0})
     _constructions[id(base)] = base
     return base
 
 
-def footprint(group) -> tuple[int, ...]:
-    """The distinct files a group of tuples touches, ascending."""
-    return tuple(sorted(set(chain.from_iterable(group))))
+def footprint(group, within: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """The distinct files a group of tuples touches, ascending.  Given files `within`
+    that hold every tuple of the group, the scan stops once it has met them all."""
+    files: set[int] = set()
+    for i in range(0, len(group), 256):  # tuples taken before each check
+        files.update(chain.from_iterable(group[i:i + 256]))
+        if len(files) == len(within):
+            return within
+    return tuple(sorted(files))
 
 
 def _within_placement(p: Partition) -> bool:
@@ -479,70 +494,53 @@ def assign_base_group(t, params: ICParameters) -> int:
 def refine(base: Partition, tasks: TaskSet) -> Partition:
     """Intersect each group with X.  The placement is copied unchanged from
     the base partition, so the file allocation is identical for every X.
-    X fresh from thin, against a partition build_base_partition returned, is
-    dealt out by its ranks' groups instead (see _rank_table); any other input,
-    such as a parsed X or base, is intersected with each group as a set."""
+    X fresh from thin, against a live partition build_base_partition returned,
+    is dealt out by its keep bytes joined along the runs (see _Groups); any other
+    input, such as a parsed X or base, is intersected with each group as a set."""
     if tasks.n != base.n or tasks.d != base.d:
         raise DimensionMismatch(
             f"tasks are ({tasks.n},{tasks.d}) but partition is ({base.n},{base.d})"
         )
-    keep = kept_ranks(tasks)
-    table = None if keep is None else _rank_table(base, len(tasks))
-    if table is None:
+    live = _constructions.get(id(base)) is base
+    keep = kept_ranks(tasks) if live else None
+    if keep is None:
         wanted = frozenset(tasks.edges)
         groups = tuple(tuple(filter(wanted.__contains__, g)) for g in base.groups)
     else:
-        dealt: list[list[DTuple]] = [[] for _ in base.groups]
-        for e, b in zip(tasks.edges, compress(table, keep)):
-            dealt[b].append(e)
-        groups = tuple(map(tuple, dealt))
-    return Partition(base.n, base.d, groups, base.placement, base.params, _task_metadata(tasks))
+        kept = b"".join(map(keep.__getitem__, map(slice, *base.groups.runs)))
+        dealt, a = list(base.groups), 0
+        for b in sorted(range(base.N), key=lambda b: b % base.params.N_prime):  # label order
+            g = base.groups[b]
+            dealt[b], a = tuple(compress(g, kept[a:a + len(g)])), a + len(g)
+        groups = tuple(dealt)
+    out = Partition(base.n, base.d, groups, base.placement, base.params, _task_metadata(tasks))
+    if live:
+        _inside[id(out)] = out
+    return out
 
 
 _constructions = WeakValueDictionary()  # each live partition build_base_partition returned
-_table: tuple = (None, None)  # the latest table refine built, after its parameter set
+_inside = WeakValueDictionary()  # each live refine of one: each group inside its placement entry
 
 
-def _rank_table(base: Partition, kept: int):
-    """When base is a live construction: its group (from 0) of the tuple of each
-    0-based rank C(n, d) - 1 - sum_i C(n - t_i, d - i), 1, 2 or 4 bytes an entry as
-    N needs.  A missing table is built only for an X of at least half the tuples,
-    where the build and the rank path together cost less than the set path; its
-    loop is generated for d, so that it unpacks each tuple into d locals."""
-    global _table
-    n, d, total = base.n, base.d, binomial(base.n, base.d)
-    if _constructions.get(id(base)) is not base or _table[0] != base.params and 2 * kept < total:
-        return None
-    if _table[0] != base.params:
-        size = 1 if base.N <= 1 << 8 else 2 if base.N <= 1 << 16 else 4
-        table = memoryview(bytearray(total * size)).cast("BHI"[size // 2])
-        weights = [[(total - 1) * (i == 0) - binomial(n - v, d - i) for v in range(n + 1)]
-                   for i in range(d)]
-        ts, ws = (", ".join(f"{c}{i}" for i in range(d)) for c in "tw")
-        scope: dict = {}
-        exec(f"def deal(table, groups, {ws}):\n"
-             "    for b, g in enumerate(groups):\n"
-             f"        for {ts}, in g:\n"
-             f"            table[{' + '.join(f'w{i}[t{i}]' for i in range(d))}] = b\n", scope)
-        scope.pop("deal")(table, base.groups, *weights)  # popped, so no cycle is left
-        _table = base.params, table
-    return _table[1]
+def _label_files(params: ICParameters) -> list[tuple[int, ...]]:
+    """Each label's families' files plus the excluded tail, in label order."""
+    tail = params.excluded
+    return [sum(fams, ()) + tail for fams in combinations(build_families(params), params.d)]
 
 
 def eligible_placement(params: ICParameters) -> tuple[tuple[int, ...], ...]:
-    """Closed-form placement upper bound: group b + 1 may only ever touch the files
-    of its label's families (label b mod N'; the families' combinations come in label
-    order) plus the excluded tail.  Used by the streaming path, where exact footprints
-    would require materialization (refused first over the cap, in groups or in file references).
-    Groups that share a label share one tuple, and every tuple shares the families' files."""
+    """Closed-form placement upper bound: group b + 1 may only ever touch the files of its
+    label's families (label b mod N') plus the excluded tail.  Used by the streaming path,
+    where exact footprints would require materialization (refused first over the cap, in
+    groups or in file references).  Groups that share a label share one tuple, and every
+    tuple shares the families' files."""
     files = params.family_size * params.d + params.g  # each label's, 8 bytes a reference
     if max(params.N, params.N_prime * files) > DEFAULT_MATERIALIZE_CAP:
         raise InstanceTooLarge(f"N = {params.N} groups, or N' = {params.N_prime} labels of {files} "
                                f"files each ({8 * params.N_prime * files} bytes), exceeds the cap "
                                f"{DEFAULT_MATERIALIZE_CAP} ({8 * DEFAULT_MATERIALIZE_CAP} bytes)")
-    tail = params.excluded
-    per_label = [sum(fams, ()) + tail for fams in combinations(build_families(params), params.d)]
-    return tuple(islice(cycle(per_label), params.N))
+    return tuple(islice(cycle(_label_files(params)), params.N))
 
 
 def assign_tasks(params: ICParameters, tasks: TaskSet) -> Partition:

@@ -13,7 +13,7 @@ import math
 from .combinatorics import binomial
 from .counting import phi_min, pi_lower_bound, pi_lower_bound_int
 from .errors import DegenerateDenominator
-from .design import DIVISIBLE, ICParameters, Partition, _constructions, footprint
+from .design import DIVISIBLE, ICParameters, Partition, _constructions, _inside, footprint
 from .records import Record
 from .tasks import GENERATOR_ID
 
@@ -23,6 +23,8 @@ TOL = 1e-9
 def _footprint_sizes(p: Partition) -> list[int]:
     if _constructions.get(id(p)) is p:  # a live construction places its groups' footprints
         return list(map(len, p.placement))
+    if _inside.get(id(p)) is p:  # a live refine of one: each scan stops at its whole entry
+        return [len(footprint(g, held)) for g, held in zip(p.groups, p.placement)]
     return [len(footprint(g)) for g in p.groups]
 
 

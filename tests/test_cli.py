@@ -589,7 +589,8 @@ def test_verify_computes_each_footprint_once(monkeypatch):
     calls = []
     footprint = design.footprint
     for module in (design, metrics):
-        monkeypatch.setattr(module, "footprint", lambda g: calls.append(g) or footprint(g))
+        monkeypatch.setattr(module, "footprint",
+                            lambda g, *held: calls.append(g) or footprint(g, *held))
     expected = metrics.full_report(complete, complete.params)
     calls.clear()
     checks = verify.run_invariant_checks(complete)

@@ -54,13 +54,24 @@ def plain(base: Partition, x: TaskSet):
     return tuple(tuple(t for t in g if t in wanted) for g in base.groups)
 
 
-def test_every_thinned_x_against_a_live_construction_takes_the_run_path(set_path):
+def test_a_refine_of_a_small_x_takes_the_run_path(set_path):
     n, d, N = 30, 3, 10
     _prime_partition.cache_clear()
     gc.collect()
     base = build_base_partition(derive_parameters(n, d, N))  # a cold build
-    for seed, phi in enumerate([0.1, 0.9, 0.5, 0.0, 1.0, 0.1]):
+    for seed, phi in enumerate([0.1, 0.0, 0.2, 0.1]):
         x = thin(n, d, ThinningSpec(phi=phi, seed=seed))
+        assert 2 * len(x) < binomial(n, d)
+        assert refine(base, x).groups == plain(base, x)
+    assert set_path == []
+
+
+def test_a_refine_of_a_large_x_takes_the_run_path(set_path):
+    n, d, N = 30, 3, 10
+    base = build_base_partition(derive_parameters(n, d, N))
+    for seed, phi in enumerate([0.9, 1.0, 0.8]):
+        x = thin(n, d, ThinningSpec(phi=phi, seed=seed))
+        assert 2 * len(x) >= binomial(n, d)
         assert refine(base, x).groups == plain(base, x)
     assert set_path == []
 
@@ -84,7 +95,6 @@ def test_rank_path_equals_the_set_path(case, phi, seed, set_path):
 def test_the_runs_cover_every_rank_once(n, d, N):
     base = build_base_partition(_derive(n, d, N))
     prime = _prime_partition(n, d, base.params.k)
-    assert base.groups.runs is prime.runs
     los, his = map(list, prime.runs)
     assert len(los) == len(his)
     assert all(map(int.__lt__, los, his))
@@ -96,6 +106,24 @@ def test_the_runs_cover_every_rank_once(n, d, N):
     edges = prime.full.edges
     assert list(chain.from_iterable(edges[lo:hi] for lo, hi in zip(los, his))) == list(
         chain.from_iterable(prime))
+
+
+def test_a_new_parameter_set_refines_by_its_own_runs(set_path):
+    sets = ((12, 2, 8), (13, 2, 6))
+    bases = [build_base_partition(derive_parameters(*p)) for p in sets]
+    assert bases[0].groups.runs is not bases[1].groups.runs
+    for seed in range(2):
+        for base, (n, d, _) in zip(bases, sets):  # alternating between the two
+            x = thin(n, d, ThinningSpec(phi=0.5, seed=seed))
+            assert refine(base, x).groups == plain(base, x)
+    assert set_path == []
+
+
+def test_build_base_partition_gives_each_base_the_construction_runs():
+    params = derive_parameters(12, 2, 8)
+    bases = [build_base_partition(params) for _ in range(3)]
+    runs = _prime_partition(12, 2, params.k).runs
+    assert all(base.groups.runs is runs for base in bases)
 
 
 def test_repeated_thin_and_refine_stay_on_the_rank_path(set_path):

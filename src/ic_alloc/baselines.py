@@ -30,7 +30,7 @@ from .counting import block_slices
 from .design import Partition, _own_placement
 from .errors import InvalidArgument, InvalidPhi
 from .records import Record
-from .tasks import GENERATOR_ID, TaskSet, _complete, remember_kept
+from .tasks import GENERATOR_ID, TaskSet, _complete
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -93,18 +93,20 @@ class ThinningSpec(Record):
 
 def thin(n: int, d: int, spec: ThinningSpec) -> TaskSet:
     """Keep each tuple of the complete d-uniform set independently with
-    probability phi.  phi=1 keeps everything, phi=0 nothing.  The keep byte
-    of every rank is remembered for the returned X (see refine).  Beside a
-    live complete set of (n, d) (a construction's cache entry holds one), X
+    probability phi.  phi=1 keeps everything, phi=0 nothing.  X holds the
+    keep byte of every rank in its slot `keep` (see TaskSet).  Beside a live
+    complete set of (n, d) (a construction's cache entry holds one), X
     selects its tuple objects; otherwise X enumerates equal tuples anew."""
     threshold = min(1 << 64, int(spec.phi * (1 << 64)))
     keep = b"".join(_keep_flags(spec.seed, threshold, binomial(n, d)))
     full = _complete.get((n, d))
     kept = compress(enumerate_lex(n, d) if full is None else full.edges, keep)
-    return remember_kept(TaskSet(  # a streamed X is listed first, as TaskSet.full lists its set
+    x = TaskSet(  # a streamed X is listed first, as TaskSet.full lists its set
         n, d, tuple(list(kept) if full is None else kept),
         phi=spec.phi, seed=spec.seed, generator_id=GENERATOR_ID,
-    ), keep)
+    )
+    object.__setattr__(x, "keep", keep)
+    return x
 
 
 def lex_partition(tasks: TaskSet, N: int) -> Partition:

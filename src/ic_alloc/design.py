@@ -35,7 +35,6 @@ from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, compress, cycle, islice, repeat
 from operator import ne
 from typing import Iterator, NamedTuple
-from weakref import WeakValueDictionary
 
 from .combinatorics import DTuple, _rank, binomial, lex_unrank, validate_dtuple, validate_dtuples
 from .counting import block_bounds, block_index, block_slices, m_beta
@@ -48,7 +47,7 @@ from .errors import (
     UnsupportedParameters,
 )
 from .records import Record
-from .tasks import TaskSet, kept_ranks, refuse_duplicates
+from .tasks import TaskSet, refuse_duplicates
 
 DIVISIBLE = "divisible"
 NONDIVISIBLE = "nondivisible"
@@ -198,7 +197,10 @@ def support_of(t, params: ICParameters) -> SupportInfo:
 
 
 class _Groups(tuple):
-    """Groups cut by the rank ranges `runs` (see _prime_partition) from a complete set."""
+    """A construction's groups carry the rank ranges `runs` that cut them from a complete set
+    (see _prime_partition), N' as `labels` and the placement `of` their footprints; a refine
+    of them, the placement each group lies `inside`.  A mark counts only where it is its
+    partition's own placement: groups beside any other are scanned in full."""
 
 
 @lru_cache(maxsize=2)
@@ -282,12 +284,10 @@ def build_base_partition(params: ICParameters) -> Partition:
         for j, part in enumerate(block_slices(members, params.p if b0 < params.r else params.q)):
             out[b0 + j * params.N_prime] = part
     groups = _Groups(out)
-    groups.runs = prime.runs
+    groups.runs, groups.labels = prime.runs, params.N_prime
     # group b touches only the families of label b mod N' and the tail, so its scan stops there
-    placement = tuple(map(footprint, groups, cycle(_label_files(params))))
-    base = Partition(params.n, params.d, groups, placement, params, {"phi": 1.0})
-    _constructions[id(base)] = base
-    return base
+    groups.of = placement = tuple(map(footprint, groups, cycle(_label_files(params))))
+    return Partition(params.n, params.d, groups, placement, params, {"phi": 1.0})
 
 
 def footprint(group, within: tuple[int, ...] = ()) -> tuple[int, ...]:
@@ -494,33 +494,29 @@ def assign_base_group(t, params: ICParameters) -> int:
 def refine(base: Partition, tasks: TaskSet) -> Partition:
     """Intersect each group with X.  The placement is copied unchanged from
     the base partition, so the file allocation is identical for every X.
-    X fresh from thin, against a live partition build_base_partition returned,
-    is dealt out by its keep bytes joined along the runs (see _Groups); any other
-    input, such as a parsed X or base, is intersected with each group as a set."""
+    X holding keep bytes (see thin), against a construction's groups beside their own
+    placement (see _Groups), is dealt out by those bytes joined along the runs; other
+    input, such as a parsed or copied X or a parsed or refined base, is intersected
+    with each group as a set.  Either way, a refine of those groups marks its own."""
     if tasks.n != base.n or tasks.d != base.d:
         raise DimensionMismatch(
             f"tasks are ({tasks.n},{tasks.d}) but partition is ({base.n},{base.d})"
         )
-    live = _constructions.get(id(base)) is base
-    keep = kept_ranks(tasks) if live else None
-    if keep is None:
+    built = getattr(base.groups, "of", None) is base.placement
+    keep = getattr(tasks, "keep", None)
+    if not built or keep is None:
         wanted = frozenset(tasks.edges)
-        groups = tuple(tuple(filter(wanted.__contains__, g)) for g in base.groups)
+        groups = _Groups(tuple(filter(wanted.__contains__, g)) for g in base.groups)
     else:
         kept = b"".join(map(keep.__getitem__, map(slice, *base.groups.runs)))
         dealt, a = list(base.groups), 0
-        for b in sorted(range(base.N), key=lambda b: b % base.params.N_prime):  # label order
+        for b in sorted(range(base.N), key=lambda b: b % base.groups.labels):  # label order
             g = base.groups[b]
             dealt[b], a = tuple(compress(g, kept[a:a + len(g)])), a + len(g)
-        groups = tuple(dealt)
-    out = Partition(base.n, base.d, groups, base.placement, base.params, _task_metadata(tasks))
-    if live:
-        _inside[id(out)] = out
-    return out
-
-
-_constructions = WeakValueDictionary()  # each live partition build_base_partition returned
-_inside = WeakValueDictionary()  # each live refine of one: each group inside its placement entry
+        groups = _Groups(dealt)
+    if built:
+        groups.inside = base.placement
+    return Partition(base.n, base.d, groups, base.placement, base.params, _task_metadata(tasks))
 
 
 def _label_files(params: ICParameters) -> list[tuple[int, ...]]:

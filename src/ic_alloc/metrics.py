@@ -13,7 +13,7 @@ import math
 from .combinatorics import binomial
 from .counting import phi_min, pi_lower_bound, pi_lower_bound_int
 from .errors import DegenerateDenominator
-from .design import DIVISIBLE, ICParameters, Partition, _constructions, _inside, footprint
+from .design import DIVISIBLE, ICParameters, Partition, footprint
 from .records import Record
 from .tasks import GENERATOR_ID
 
@@ -21,9 +21,10 @@ TOL = 1e-9
 
 
 def _footprint_sizes(p: Partition) -> list[int]:
-    if _constructions.get(id(p)) is p:  # a live construction places its groups' footprints
+    """Each group's file count; a mark of p's groups (see design._Groups) counts if it is p's."""
+    if getattr(p.groups, "of", None) is p.placement:  # a construction: its footprints are placed
         return list(map(len, p.placement))
-    if _inside.get(id(p)) is p:  # a live refine of one: each scan stops at its whole entry
+    if getattr(p.groups, "inside", None) is p.placement:  # each scan stops at its whole entry
         return [len(footprint(g, held)) for g, held in zip(p.groups, p.placement)]
     return [len(footprint(g)) for g in p.groups]
 

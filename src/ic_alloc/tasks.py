@@ -6,7 +6,7 @@ from __future__ import annotations
 from itertools import compress, islice
 from operator import eq
 from typing import Iterable
-from weakref import WeakValueDictionary, ref
+from weakref import WeakValueDictionary
 
 from .combinatorics import DTuple, enumerate_lex, validate_dtuples
 from .errors import DuplicateEdge, InvalidDimensions
@@ -25,8 +25,12 @@ class TaskSet(Record):
     build it directly.  Edges from anywhere else go through from_edges,
     which validates them.
 
-    phi / seed / generator_id record how X was sampled, when it was.
+    phi / seed / generator_id record how X was sampled, when it was.  An X from
+    thin also holds in the slot `keep`, no field, its keep bytes: keep[r - 1] is
+    truthy iff rank r is an edge (see refine).  A copy or unpickled X has none.
     """
+
+    __slots__ = ("keep",)
 
     n: int
     d: int
@@ -41,6 +45,9 @@ class TaskSet(Record):
 
     def __len__(self) -> int:
         return len(self.edges)
+
+    def __getstate__(self):
+        return self.__dict__  # the fields alone: Record.__setattr__ would refuse the keep slot
 
     @staticmethod
     def from_edges(n: int, d: int, edges: Iterable[Iterable[int]]) -> "TaskSet":
@@ -65,22 +72,3 @@ def refuse_duplicates(edges: list[DTuple]) -> list[DTuple]:
         raise DuplicateEdge(f"edge {dup} listed twice")
     return edges
 
-
-_kept: list = [lambda: None, None]  # a weak reference to the latest thinned X, and its keep bytes
-
-
-def remember_kept(tasks: TaskSet, keep: bytes) -> TaskSet:
-    """Remember, until tasks is freed or another X is remembered, that keep[r - 1]
-    is truthy iff rank r is an edge of tasks; return tasks."""
-    _kept[:] = ref(tasks, _forget), keep
-    return tasks
-
-
-def _forget(owner: ref) -> None:
-    if _kept[0] is owner:  # not since replaced by a later X
-        _kept[1] = None
-
-
-def kept_ranks(tasks: TaskSet) -> bytes | None:
-    """The keep bytes remembered for this very TaskSet, else None."""
-    return _kept[1] if _kept[0]() is tasks else None

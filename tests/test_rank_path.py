@@ -1,16 +1,25 @@
-"""refine's run path: an X fresh from thin, refined against a partition that
-build_base_partition returned, is dealt out by its keep bytes joined along the
-construction's rank runs.  It must give exactly what intersecting each group
-with the set of X's edges gives, and every other input must take that set
-path.  A refine of a live construction has its footprint sizes from scans that
-stop at each group's placement entry, which must equal the full scans."""
+"""refine's run path: an X holding thin's keep bytes, refined against the
+groups build_base_partition marked beside their own placement, is dealt out by
+those bytes joined along the construction's rank runs.  It must give exactly
+what intersecting each group with the set of X's edges gives, and every other
+input must take that set path.  The facts that pick the path travel on the
+values, so every thinned X, however old, takes the run path, a copy of a
+construction too, while a copied or unpickled X holds no keep bytes.  A refine
+of a construction has its footprint sizes from scans that stop at each group's
+placement entry, which must equal the full scans; a mark beside any other
+placement is not trusted.  No module keeps a registry keyed by identity."""
 
+import ast
+import copy
 import gc
+import pickle
+import tracemalloc
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
-from ic_alloc import design, metrics, tasks
+from ic_alloc import design, metrics
 from ic_alloc.baselines import ThinningSpec, thin
 from ic_alloc.combinatorics import binomial
 from ic_alloc.design import (
@@ -154,15 +163,31 @@ def test_an_evicted_construction_is_not_rebuilt_by_refine(set_path):
     assert design._prime_partition.cache_info().misses == built
 
 
-def test_a_stale_memo_takes_the_set_path(set_path):
+def test_an_earlier_task_set_takes_the_run_path(set_path):
     n, d, N = 13, 3, 6
     base = build_base_partition(derive_parameters(n, d, N))
-    x1 = thin(n, d, ThinningSpec(phi=0.5, seed=1))
-    x2 = thin(n, d, ThinningSpec(phi=0.5, seed=2))
-    assert refine(base, x1).groups == plain(base, x1)
-    assert len(set_path) == 1
-    assert refine(base, x2).groups == plain(base, x2)
-    assert len(set_path) == 1
+    xs = [thin(n, d, ThinningSpec(phi=0.5, seed=seed)) for seed in range(3)]
+    for x in reversed(xs):
+        assert refine(base, x).groups == plain(base, x)
+    assert set_path == []
+
+
+_ROUND_TRIPS = {
+    "fields": lambda v: type(v)(**v.__dict__),
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("trip", list(_ROUND_TRIPS))
+def test_a_copied_construction_takes_the_run_path(trip, set_path):
+    n, d, N = 12, 2, 8
+    base = build_base_partition(derive_parameters(n, d, N))
+    given = _ROUND_TRIPS[trip](base)
+    x = thin(n, d, ThinningSpec(phi=0.6, seed=8))
+    assert refine(given, x).groups == plain(base, x)
+    assert set_path == []
 
 
 def _moved(p: Partition) -> Partition:
@@ -175,7 +200,9 @@ def _moved(p: Partition) -> Partition:
     return Partition(**{**p.__dict__, "groups": tuple(groups)})
 
 
-@pytest.mark.parametrize("other", ["parsed", "copy", "moved_tuple", "refined", "no_params"])
+@pytest.mark.parametrize("other", [
+    "parsed", "moved_tuple", "refined", "no_params", "other_placement", "copy_without_params",
+])
 def test_a_base_other_than_a_built_construction_takes_the_set_path(other, set_path):
     n, d, N = 12, 2, 8
     base = build_base_partition(derive_parameters(n, d, N))
@@ -183,14 +210,19 @@ def test_a_base_other_than_a_built_construction_takes_the_set_path(other, set_pa
     assert parsed.params == base.params
     given = {
         "parsed": lambda: parsed,
-        "copy": lambda: Partition(**base.__dict__),
         "moved_tuple": lambda: _moved(parsed),
         "refined": lambda: refine(base, thin(n, d, ThinningSpec(phi=0.5, seed=7))),
         "no_params": lambda: Partition(**{**parsed.__dict__, "params": None}),
+        "other_placement": lambda: Partition(**{**base.__dict__, "placement": parsed.placement}),
+        # the construction's own groups and placement: it may take either path
+        "copy_without_params": lambda: Partition(**{**base.__dict__, "params": None}),
     }[other]()
     x = thin(n, d, ThinningSpec(phi=0.6, seed=8))
     assert refine(given, x).groups == plain(given, x)
-    assert len(set_path) == 1
+    if other == "copy_without_params":
+        assert given.groups is base.groups
+    else:
+        assert len(set_path) == 1
 
 
 def test_a_parsed_task_set_takes_the_set_path(set_path):
@@ -203,32 +235,59 @@ def test_a_parsed_task_set_takes_the_set_path(set_path):
     assert len(set_path) == 1
 
 
-def test_the_memo_holds_no_strong_reference_to_the_task_set():
-    x = thin(10, 2, ThinningSpec(phi=0.5, seed=1))
-    owner, keep = tasks._kept
-    assert owner() is x and tasks.kept_ranks(x) is keep
-    assert tasks.kept_ranks(TaskSet(**x.__dict__)) is None
-    del x
+def test_the_keep_bytes_are_freed_with_the_task_set():
+    n, d = 121, 3
+    build_base_partition(derive_parameters(n, d, 40))  # X selects the complete set's tuples
     gc.collect()
-    assert owner() is None
-    assert tasks._kept[1] is None  # the keep bytes went with it
-
-
-def test_an_earlier_task_set_freed_leaves_the_latest_memo():
-    x1 = thin(10, 2, ThinningSpec(phi=0.5, seed=1))
-    held = tasks._kept[0]  # x1's reference outlives the memo, so its callback runs
-    x2 = thin(10, 2, ThinningSpec(phi=0.5, seed=2))
-    keep = tasks.kept_ranks(x2)
-    del x1
-    gc.collect()
-    assert held() is None
-    assert keep is not None and tasks.kept_ranks(x2) is keep
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        x = thin(n, d, ThinningSpec(phi=0.5, seed=1))
+        assert len(x.keep) == 288_768  # C(121, 3) = 287,980 rounded up to 1024
+        assert tracemalloc.get_traced_memory()[0] - before > len(x.keep)
+        del x
+        gc.collect()
+        assert tracemalloc.get_traced_memory()[0] - before < 288_768 // 4
+    finally:
+        tracemalloc.stop()
 
 
 def test_thin_adds_no_field_to_the_task_set():
     x = thin(10, 2, ThinningSpec(phi=0.5, seed=1))
     assert list(x.__dict__) == ["n", "d", "edges", "phi", "seed", "generator_id"]
-    assert x == TaskSet(**x.__dict__) and hash(x) == hash(TaskSet(**x.__dict__))
+    fields = TaskSet(**x.__dict__)
+    assert x == fields and hash(x) == hash(fields) and repr(x) == repr(fields)
+    assert not hasattr(fields, "keep")
+
+
+@pytest.mark.parametrize("trip", list(_ROUND_TRIPS))
+def test_pickle_and_copy_round_trips_keep_each_value_and_its_refine(trip):
+    n, d, N = 13, 3, 6
+    base = build_base_partition(derive_parameters(n, d, N))
+    x = thin(n, d, ThinningSpec(phi=0.5, seed=3))
+    fp = refine(base, x)
+    again = _ROUND_TRIPS[trip]
+    x2, base2, fp2 = again(x), again(base), again(fp)
+    assert (x2, base2, fp2) == (x, base, fp)
+    assert refine(base, x2).groups == fp.groups
+    assert refine(base2, x).groups == fp.groups
+    assert refine(fp2, x).groups == refine(fp, x).groups == fp.groups
+    assert metrics._footprint_sizes(fp2) == metrics._footprint_sizes(fp)
+
+
+def test_no_module_keeps_a_registry_keyed_by_identity():
+    found = []
+    for path in sorted((Path(design.__file__).parent).glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, "id") for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "id"]
+        for node in tree.body:  # module level
+            value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+            if isinstance(value, ast.Call) and "WeakValueDictionary" in ast.unparse(value.func):
+                found += [(path.name, ast.unparse(target))
+                          for target in getattr(node, "targets", [getattr(node, "target", None)])]
+    assert found == [("tasks.py", "_complete")]  # the complete-set cache, no path switch
 
 
 def test_the_footprint_scan_stops_at_its_entry():
@@ -248,9 +307,29 @@ def test_stopped_scans_give_the_footprint_sizes(case, phi):
     n, d, N = CASES[case]
     base = build_base_partition(derive_parameters(n, d, N))
     assert base.placement == tuple(map(footprint, base.groups))
-    fp = refine(base, thin(n, d, ThinningSpec(phi=phi, seed=5)))
-    assert design._inside.get(id(fp)) is fp
-    assert metrics._footprint_sizes(fp) == [len(footprint(g)) for g in fp.groups]
+    assert metrics._footprint_sizes(base) == list(map(len, base.placement))
+    x = thin(n, d, ThinningSpec(phi=phi, seed=5))
+    # a parsed X takes the set path, and its refine is marked all the same
+    for given in [x, parse_tasks(emit_tasks(x))] if phi == 0.5 else [x]:
+        fp = refine(base, given)
+        assert fp.groups.inside is fp.placement
+        assert metrics._footprint_sizes(fp) == [len(footprint(g)) for g in fp.groups]
+
+
+@pytest.mark.parametrize("marked", ["construction", "refine"])
+def test_a_mark_beside_another_placement_is_not_trusted(marked):
+    n, d, N = 121, 3, 40
+    base = build_base_partition(derive_parameters(n, d, N))
+    x = thin(n, d, ThinningSpec(phi=1.0, seed=0))
+    p = base if marked == "construction" else refine(base, x)
+    # entry 1 holds only the files of its group's first 256 tuples, which a scan stopping at
+    # the entry would meet first; the entry's own size would be short too
+    first = footprint(p.groups[1][:256])
+    q = Partition(**{**p.__dict__, "placement": (p.placement[0], first, *p.placement[2:])})
+    full = [len(footprint(g)) for g in q.groups]
+    assert len(first) < full[1] == len(p.placement[1])
+    assert metrics._footprint_sizes(q) == full
+    assert metrics._footprint_sizes(refine(q, x)) == full
 
 
 def test_a_hand_built_partition_with_a_tuple_outside_its_entry_is_scanned_in_full():

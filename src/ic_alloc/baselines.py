@@ -6,19 +6,21 @@ splitmix64 finalizer.  Decisions therefore depend only on (seed, rank),
 never on visit order, so streaming and parallel generation agree
 bit-for-bit on every platform.
 
-tuple_draw is the per-rank definition.  thin evaluates the same function
-on _LANES consecutive ranks at once, inside one Python int that holds
-one 128-bit lane per rank ("SIMD within a register"), so each step of the
-finalizer is a single whole-int ^, >>, * or & run in C.  Every lane holds
-a value below 2**64 between steps, so no lane spills into its neighbour:
-- a 64-bit value times a 64-bit constant is below 2**128, so a product
-  never carries out of its lane; the mask after it keeps the low 64 bits;
-- a right shift moves the low bits of lane i+1 into the top of lane i,
-  and the mask applied to the shifted int clears them before the xor;
-- the test draw < threshold subtracts each draw from 2**64 + threshold - 1
-  in its own lane.  That difference lies in [0, 2**65), so it never
-  borrows from the next lane, and its bit 64 is set exactly when the draw
-  is below the threshold (never for threshold 0, always for 2**64).
+tuple_draw is the per-rank definition.  _keep_flags evaluates it on _LANES
+consecutive ranks at once, inside one Python int that holds one 128-bit
+lane per rank ("SIMD within a register"), so each step of the finalizer is
+a single whole-int +, ^, >>, * or & run in C.  Every step starts from lanes
+below 2**64.  Nothing subtracts, so no lane borrows, and none carries:
+- a sum of two such values is below 2**65, a product with a 64-bit
+  constant below 2**128; the mask after either keeps the low 64 bits;
+- a right shift moves the low bits of lane i+1 into the top of lane i; the
+  mask clears them, but for the last shift, which leaves them at bit 97 up;
+- the keep test adds 2**64 - threshold to each draw: the sum is below
+  2**65, so it never reaches bit 97, and it carries into bit 64 exactly
+  when the draw is at least the threshold (the rank is dropped).
+Sixteen packed ints share one to_bytes: the c-th xors its bit-64 flags into
+byte c of their lanes, all 1 at first, by a shift right of at most 64 or
+left of at most 56, so no flag leaves its lane or meets another's byte.
 """
 
 from __future__ import annotations
@@ -63,20 +65,30 @@ def _pack(values) -> int:
 _ONES = _pack([1] * _LANES)
 _LANE_MASK = _ONES * _MASK
 _STRIDE = _pack([(i * _GOLDEN) & _MASK for i in range(_LANES)])
+_STEP = _ONES * ((_LANES * _GOLDEN) & _MASK)  # from one packed int's ranks to the next's
+_CARRY = _ONES << 64  # bit 64 of every lane
+_SLOT_ONES = int.from_bytes(b"\1" * (_LANES * _LANE_BYTES), "little")  # 1 in every byte
 
 
-def _keep_flags(seed: int, threshold: int, count: int):
-    """Yield, _LANES ranks at a time, one byte per rank from 1 to at least
-    count: 1 when tuple_draw(seed, rank) < threshold, else 0."""
-    below = _ONES * ((1 << 64) + threshold - 1)
-    for first in range(1, count + 1, _LANES):
-        x = (_STRIDE + _ONES * ((seed + first * _GOLDEN) & _MASK)) & _LANE_MASK
-        x ^= (x >> 30) & _LANE_MASK
-        x = (x * _MUL1) & _LANE_MASK
-        x ^= (x >> 27) & _LANE_MASK
-        x = (x * _MUL2) & _LANE_MASK
-        x ^= (x >> 31) & _LANE_MASK
-        yield (below - x).to_bytes(_LANES * _LANE_BYTES, "little")[8::_LANE_BYTES]
+def _keep_flags(seed: int, threshold: int, count: int) -> bytes:
+    """One byte per rank from 1 to count rounded up to _LANES: 1 when
+    tuple_draw(seed, rank) < threshold, else 0."""
+    packs, above = -(-count // _LANES), _ONES * ((1 << 64) - threshold)
+    start = (_STRIDE + _ONES * ((seed + _GOLDEN) & _MASK)) & _LANE_MASK
+    out = []
+    for first in range(0, packs, _LANE_BYTES):
+        slots, keep = min(_LANE_BYTES, packs - first), _SLOT_ONES
+        for c in range(slots):
+            x, start = start, (start + _STEP) & _LANE_MASK
+            x ^= (x >> 30) & _LANE_MASK
+            x = (x * _MUL1) & _LANE_MASK
+            x ^= (x >> 27) & _LANE_MASK
+            x = (x * _MUL2) & _LANE_MASK
+            x = (x ^ (x >> 31)) + above & _CARRY  # the dropped ranks' carries
+            keep ^= x >> (64 - 8 * c) if c < 8 else x << (8 * c - 64)
+        b = keep.to_bytes(_LANES * _LANE_BYTES, "little")
+        out += [b[c::_LANE_BYTES] for c in range(slots)]
+    return b"".join(out)
 
 
 class ThinningSpec(Record):
@@ -97,8 +109,11 @@ def thin(n: int, d: int, spec: ThinningSpec) -> TaskSet:
     keep byte of every rank in its slot `keep` (see TaskSet).  Beside a live
     complete set of (n, d) (a construction's cache entry holds one), X
     selects its tuple objects; otherwise X enumerates equal tuples anew."""
-    threshold = min(1 << 64, int(spec.phi * (1 << 64)))
-    keep = b"".join(_keep_flags(spec.seed, threshold, binomial(n, d)))
+    count, threshold = binomial(n, d), min(1 << 64, int(spec.phi * (1 << 64)))
+    if 0 < threshold < 1 << 64:
+        keep = _keep_flags(spec.seed, threshold, count)
+    else:  # every draw lies in [0, 2**64), so each flag is threshold >> 64
+        keep = bytes([threshold >> 64]) * (-(-count // _LANES) * _LANES)
     full = _complete.get((n, d))
     kept = compress(enumerate_lex(n, d) if full is None else full.edges, keep)
     x = TaskSet(  # a streamed X is listed first, as TaskSet.full lists its set

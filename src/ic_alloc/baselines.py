@@ -109,11 +109,8 @@ def thin(n: int, d: int, spec: ThinningSpec) -> TaskSet:
     keep byte of every rank in its slot `keep` (see TaskSet).  Beside a live
     complete set of (n, d) (a construction's cache entry holds one), X
     selects its tuple objects; otherwise X enumerates equal tuples anew."""
-    count, threshold = binomial(n, d), min(1 << 64, int(spec.phi * (1 << 64)))
-    if 0 < threshold < 1 << 64:
-        keep = _keep_flags(spec.seed, threshold, count)
-    else:  # every draw lies in [0, 2**64), so each flag is threshold >> 64
-        keep = bytes([threshold >> 64]) * (-(-count // _LANES) * _LANES)
+    threshold = min(1 << 64, int(spec.phi * (1 << 64)))
+    keep = _keep_flags(spec.seed, threshold, binomial(n, d))
     full = _complete.get((n, d))
     kept = compress(enumerate_lex(n, d) if full is None else full.edges, keep)
     x = TaskSet(  # a streamed X is listed first, as TaskSet.full lists its set

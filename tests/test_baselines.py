@@ -4,7 +4,6 @@ import statistics
 
 import pytest
 
-from ic_alloc import baselines
 from ic_alloc.baselines import (
     GENERATOR_ID,
     ThinningSpec,
@@ -82,21 +81,28 @@ def test_thin_size_within_four_sigma():
 
 @pytest.mark.parametrize(
     "n, d",
-    [(1, 1), (1023, 1), (1024, 1), (2048, 1), (2049, 1), (46, 2),
+    [(1, 1), (1023, 1), (1024, 1), (1025, 1), (2048, 1), (2049, 1), (46, 2),
      (16383, 1), (16384, 1), (16385, 1), (260, 2)],
 )
 def test_thin_matches_per_rank_draws(n, d):
     # the packed evaluation against tuple_draw, rank by rank, with C(n, d)
     # below, at, a multiple of and just past the lane count, then the same
     # about the 16,384 ranks of one to_bytes, and C(260, 2) = 33,670 over
-    # three of them; fewer seeds and phis on those, to keep the test short
+    # three of them; fewer seeds and phis on those, to keep the test short.
+    # One keep byte per rank, rounded up to the lanes; every draw lies in
+    # [0, 2**64), so at phi 0 and 1 the bytes are all 0 and all 1
+    size = math.ceil(binomial(n, d) / 1024) * 1024
     small = binomial(n, d) < 16383
     for seed in (0, -1, 2**64 - 1, 2**64 + 5, 2**63) if small else (-1, 2**63):
         draws = [tuple_draw(seed, r) for r in range(1, binomial(n, d) + 1)]
-        for phi in (0.0, 2**-64, 0.1, 0.5, 1.0) if small else (0.1, 0.5):
+        for phi in (0.0, 2**-64, 0.1, 0.5, 1.0) if small else (0.0, 0.1, 0.5, 1.0):
             threshold = min(1 << 64, int(phi * (1 << 64)))
             expected = [t for t, v in zip(enumerate_lex(n, d), draws) if v < threshold]
-            assert list(thin(n, d, ThinningSpec(phi, seed)).edges) == expected, (seed, phi)
+            x = thin(n, d, ThinningSpec(phi, seed))
+            assert list(x.edges) == expected, (seed, phi)
+            assert len(x.keep) == size
+            if phi in (0.0, 1.0):
+                assert x.keep == bytes([threshold >> 64]) * size
 
 
 def _seed_drawing(value, rank):
@@ -128,33 +134,6 @@ def test_thin_keeps_draws_strictly_below_the_threshold(phi, draw, kept):
         seed = _seed_drawing(draw, rank)
         assert tuple_draw(seed, rank) == draw
         assert ((rank,) in thin(17 * 1024, 1, ThinningSpec(phi, seed)).edges) is kept, k
-
-
-@pytest.mark.parametrize("n, d", [(1, 1), (1023, 1), (1024, 1), (1025, 1), (16383, 1),
-                                  (16384, 1), (16385, 1), (121, 3)])
-def test_thin_keeps_one_flag_per_rank_rounded_up_to_the_lanes(n, d):
-    size = math.ceil(binomial(n, d) / 1024) * 1024
-    for phi in (0.0, 0.5, 1.0):
-        assert len(thin(n, d, ThinningSpec(phi, 3)).keep) == size
-    if (n, d) == (121, 3):
-        assert size == 288_768
-
-
-def test_thin_at_phi_zero_and_one_calls_no_kernel(monkeypatch):
-    # every draw lies in [0, 2**64): the kernel's own flags at thresholds 0
-    # and 2**64 are all 0 and all 1, which thin writes without drawing
-    for count in (1, 16385, binomial(121, 3)):
-        size = math.ceil(count / 1024) * 1024
-        assert baselines._keep_flags(5, 0, count) == bytes(size)
-        assert baselines._keep_flags(5, 1 << 64, count) == b"\1" * size
-    calls = []
-    kernel = baselines._keep_flags
-    monkeypatch.setattr(baselines, "_keep_flags", lambda *a: calls.append(a) or kernel(*a))
-    assert thin(121, 3, ThinningSpec(1.0, 5)).keep == b"\1" * 288_768
-    assert thin(121, 3, ThinningSpec(0.0, 5)).keep == bytes(288_768)
-    assert calls == []
-    thin(121, 3, ThinningSpec(0.5, 5))
-    assert calls == [(5, 1 << 63, binomial(121, 3))]
 
 
 def test_thin_golden_digest():

@@ -29,8 +29,8 @@ from itertools import compress
 
 from .combinatorics import _rank, binomial, enumerate_lex
 from .counting import block_slices
-from .design import Partition, _own_placement
-from .errors import InvalidArgument, InvalidPhi
+from .design import DEFAULT_MATERIALIZE_CAP, Partition, _own_placement
+from .errors import InstanceTooLarge, InvalidArgument, InvalidPhi
 from .records import Record
 from .tasks import GENERATOR_ID, TaskSet, _complete
 
@@ -109,8 +109,13 @@ def thin(n: int, d: int, spec: ThinningSpec) -> TaskSet:
     keep byte of every rank in its slot `keep` (see TaskSet).  Beside a live
     complete set of (n, d) (a construction's cache entry holds one), X
     selects its tuple objects; otherwise X enumerates equal tuples anew."""
+    total, budget = binomial(n, d), 73 * DEFAULT_MATERIALIZE_CAP  # the cap's tuples at 73 B each
+    num, den = spec.phi.as_integer_ratio()  # exact, as a float of C(n, d) may overflow
+    if total + (held := 72 * total * num // den) > budget:  # about 72 B a kept tuple
+        raise InstanceTooLarge(f"thin({n}, {d}) at phi = {spec.phi} needs {total} keep bytes and "
+                               f"about {held} bytes of kept tuples, over {budget} bytes")
     threshold = min(1 << 64, int(spec.phi * (1 << 64)))
-    keep = _keep_flags(spec.seed, threshold, binomial(n, d))
+    keep = _keep_flags(spec.seed, threshold, total)
     full = _complete.get((n, d))
     kept = compress(enumerate_lex(n, d) if full is None else full.edges, keep)
     x = TaskSet(  # a streamed X is listed first, as TaskSet.full lists its set

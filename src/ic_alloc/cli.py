@@ -72,9 +72,9 @@ def cmd_eval(args) -> int:
     if fp.params is not None and fp.params != derive_parameters(fp.n, fp.d, fp.N):
         raise SchemaError("stored params differ from those derived from (n, d, N)")
     if args.tasks is not None:
-        tasks = _read_tasks(args.tasks)
         if fp.params is None:
             raise ICAllocError("--tasks requires a construction partition")
+        tasks = _read_tasks(args.tasks)
         fp = refine(fp, tasks)
         if (missing := len(tasks) - sum(map(len, fp.groups))) > 0:
             raise ICAllocError(f"{missing} of {len(tasks)} tasks are in no group of the partition")

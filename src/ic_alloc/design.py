@@ -199,8 +199,8 @@ def support_of(t, params: ICParameters) -> SupportInfo:
 class _Groups(tuple):
     """A construction's groups carry the rank ranges `runs` that cut them from a complete set
     (see _prime_partition), N' as `labels` and the placement `of` their footprints; a refine
-    of them, the placement each group lies `inside`.  A mark counts only where it is its
-    partition's own placement: groups beside any other are scanned in full."""
+    of them, the placement each group lies `inside`.  Only this module sets and reads them; a
+    mark counts only where it is its partition's own placement, or groups are scanned in full."""
 
 
 @lru_cache(maxsize=2)
@@ -301,9 +301,18 @@ def footprint(group, within: tuple[int, ...] = ()) -> tuple[int, ...]:
     return tuple(sorted(files))
 
 
+def footprint_sizes(p: Partition) -> list[int]:
+    """Each group's file count; a mark of p's groups (see _Groups) counts if it is p's."""
+    if getattr(p.groups, "of", None) is p.placement:  # a construction: its footprints are placed
+        return list(map(len, p.placement))
+    # a refine of one stops each scan at its whole entry; other groups are scanned in full
+    held = p.placement if getattr(p.groups, "inside", None) is p.placement else repeat(())
+    return [len(footprint(g, h)) for g, h in zip(p.groups, held)]
+
+
 def _within_placement(p: Partition) -> bool:
     """Whether every group touches only files of its own placement entry."""
-    return all(set(held).issuperset(footprint(g)) for g, held in zip(p.groups, p.placement))
+    return all(set(h).issuperset(chain.from_iterable(g)) for g, h in zip(p.groups, p.placement))
 
 
 # ---------------------------------------------------------------------------

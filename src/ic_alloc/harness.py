@@ -15,7 +15,7 @@ from .baselines import ThinningSpec, thin, tuple_draw
 from .counting import phi_min, pi_lower_bound
 from .design import _within_placement, build_base_partition, derive_parameters, refine
 from .errors import DegenerateDenominator, ICAllocError, InvalidArgument, SchemaError
-from .metrics import CostReport, delta_of, full_report
+from .metrics import CostReport, delta_of, full_report, pi_of
 from .records import Record
 
 
@@ -192,7 +192,7 @@ def simulate_rounds(
     if not round_specs:
         raise InvalidArgument("need at least one round")
     params, base, refined = _refined(n, d, N, round_specs)
-    placement_pi = max((len(f) for f in base.placement), default=0)
+    placement_pi = pi_of(base)
 
     reports: list[CostReport] = []
     identical = feasible = True

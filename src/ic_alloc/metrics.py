@@ -13,26 +13,17 @@ import math
 from .combinatorics import binomial
 from .counting import phi_min, pi_lower_bound, pi_lower_bound_int
 from .errors import DegenerateDenominator
-from .design import DIVISIBLE, ICParameters, Partition, footprint
+from .design import DIVISIBLE, ICParameters, Partition, footprint_sizes
 from .records import Record
 from .tasks import GENERATOR_ID
 
 TOL = 1e-9
 
 
-def _footprint_sizes(p: Partition) -> list[int]:
-    """Each group's file count; a mark of p's groups (see design._Groups) counts if it is p's."""
-    if getattr(p.groups, "of", None) is p.placement:  # a construction: its footprints are placed
-        return list(map(len, p.placement))
-    if getattr(p.groups, "inside", None) is p.placement:  # each scan stops at its whole entry
-        return [len(footprint(g, held)) for g, held in zip(p.groups, p.placement)]
-    return [len(footprint(g)) for g in p.groups]
-
-
 def pi_of(p: Partition) -> int:
     """Communication cost: max over groups of distinct-file count.  0 for
     an all-empty partition."""
-    return max(_footprint_sizes(p), default=0)
+    return max(footprint_sizes(p), default=0)
 
 
 def delta_of(p: Partition) -> float:
@@ -47,7 +38,7 @@ def delta_of(p: Partition) -> float:
 def arf_of(p: Partition) -> float:
     """Average replication factor: (1/n) * sum of group footprint sizes.
     Empty groups contribute 0."""
-    return sum(_footprint_sizes(p)) / p.n
+    return sum(footprint_sizes(p)) / p.n
 
 
 class BoundCheck(Record):
@@ -188,7 +179,7 @@ def full_report(
     if phi is None:
         phi = task_count / binomial(n, d)
 
-    sizes = _footprint_sizes(p)  # one footprint per group serves pi and arf
+    sizes = footprint_sizes(p)  # one footprint per group serves pi and arf
     pi = max(sizes, default=0)
     delta = delta_of(p)
     arf = sum(sizes) / n

@@ -4,6 +4,7 @@ import statistics
 
 import pytest
 
+from ic_alloc import baselines
 from ic_alloc.baselines import (
     GENERATOR_ID,
     ThinningSpec,
@@ -21,7 +22,7 @@ from ic_alloc.design import (
     partition_from_groups,
     refine,
 )
-from ic_alloc.errors import InvalidPhi
+from ic_alloc.errors import InstanceTooLarge, InvalidPhi
 from ic_alloc.metrics import pi_of
 from ic_alloc.tasks import TaskSet
 
@@ -143,6 +144,30 @@ def test_thin_golden_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "507d1b11230af9acff3f2edb441710afc2320a2f23300bae967f847143af5fe0"
     )
+
+
+class _Drawn(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n, d, phi", [(5000, 3, 0.5), (1800, 3, 1.0), (5000, 3, 0.0)])
+def test_thin_beyond_the_byte_budget_is_refused_before_drawing(n, d, phi, monkeypatch):
+    calls = []
+    monkeypatch.setattr(baselines, "_keep_flags", lambda *args: calls.append(args))
+    with pytest.raises(InstanceTooLarge, match=f"needs {binomial(n, d)} keep bytes"):
+        thin(n, d, ThinningSpec(phi=phi, seed=1))
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, d, phi", [(600, 3, 0.01), (392, 3, 1.0)])
+def test_thin_within_the_byte_budget_draws(n, d, phi, monkeypatch):
+    # C(392, 3) <= 10^7 builds; n=600, d=3 at phi = 0.01 covers README's thin table
+    def drawn(seed, threshold, count):
+        raise _Drawn(count)
+
+    monkeypatch.setattr(baselines, "_keep_flags", drawn)
+    with pytest.raises(_Drawn):
+        thin(n, d, ThinningSpec(phi=phi, seed=1))
 
 
 def test_thin_mean_concentrates_over_seeds():

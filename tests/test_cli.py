@@ -588,9 +588,8 @@ def test_verify_computes_each_footprint_once(monkeypatch):
     refined = parse_partition(emit_partition(refine(base, thin(12, 2, ThinningSpec(0.5, 1)))))
     calls = []
     footprint = design.footprint
-    for module in (design, metrics):
-        monkeypatch.setattr(module, "footprint",
-                            lambda g, *held: calls.append(g) or footprint(g, *held))
+    monkeypatch.setattr(design, "footprint",
+                        lambda g, *held: calls.append(g) or footprint(g, *held))
     expected = metrics.full_report(complete, complete.params)
     calls.clear()
     checks = verify.run_invariant_checks(complete)
@@ -919,6 +918,10 @@ BAD_INPUTS = {
     "eval-tasks-phi-not-a-number": lambda tmp: _eval_tasks_argv(tmp, "phi: zz"),
     "eval-tasks-seed-not-an-integer": lambda tmp: _eval_tasks_argv(tmp, "seed: abc"),
     "eval-tasks-outside-the-partition": _eval_tasks_outside_the_partition,
+    "thin-beyond-the-byte-budget": lambda tmp: [
+        "thin", "--n", "5000", "--d", "3", "--phi", "0.5", "--seed", "1"],
+    "thin-complete-beyond-the-byte-budget": lambda tmp: [
+        "thin", "--n", "1800", "--d", "3", "--phi", "1.0", "--seed", "1"],
     "eval-tasks-on-baseline-partition": lambda tmp: [
         "eval", "--partition", _baseline_partition(tmp, 7),
         "--tasks", _tasks_file(tmp, EXAMPLE1_TEXT)],
@@ -940,3 +943,11 @@ def test_bad_input_is_one_error_line(case, tmp_path, capsys):
     assert code == 1
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_eval_tasks_on_a_baseline_partition_is_refused_before_the_task_file(tmp_path, capsys):
+    missing = tmp_path / "no-such-tasks.txt"
+    code, out, err = run(capsys, "eval", "--partition", _baseline_partition(tmp_path, 7),
+                         "--tasks", str(missing))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: --tasks requires a construction partition"]

@@ -199,6 +199,25 @@ def test_simulate_rounds_fails_when_the_placement_follows_the_tasks(monkeypatch)
     assert result.verdict == "FAIL"
 
 
+def test_simulate_rounds_fails_when_a_group_leaves_its_placement(monkeypatch):
+    # a refine that moves one tuple into a group whose entry lacks one of its files
+    def stray_refine(base, tasks):
+        fp = refine(base, tasks)
+        groups = list(fp.groups)
+        i = next(i for i, g in enumerate(groups) if g)
+        t, groups[i] = groups[i][0], groups[i][1:]
+        j = next(j for j, held in enumerate(fp.placement) if not set(t) <= set(held))
+        groups[j] = tuple(sorted(groups[j] + (t,)))
+        return Partition(**{**fp.__dict__, "groups": tuple(groups)})
+
+    specs = [ThinningSpec(phi=0.5, seed=1)]
+    assert simulate_rounds(60, 2, 6, specs).verdict == "PASS"
+    monkeypatch.setattr(harness, "refine", stray_refine)
+    result = simulate_rounds(60, 2, 6, specs)
+    assert result.placement_identical and not result.feasible
+    assert result.verdict == "FAIL"
+
+
 def test_simulate_single_round_phi_one_equals_plain_partition():
     result = simulate_rounds(12, 2, 3, [ThinningSpec(phi=1.0, seed=0)])
     assert result.verdict == "PASS"

@@ -7,7 +7,8 @@ values, so every thinned X, however old, takes the run path, a copy of a
 construction too, while a copied or unpickled X holds no keep bytes.  A refine
 of a construction has its footprint sizes from scans that stop at each group's
 placement entry, which must equal the full scans; a mark beside any other
-placement is not trusted.  No module keeps a registry keyed by identity."""
+placement is not trusted.  No module keeps a registry keyed by identity, and no
+module but design reads a mark."""
 
 import ast
 import copy
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from ic_alloc import design, metrics
+from ic_alloc import design
 from ic_alloc.baselines import ThinningSpec, thin
 from ic_alloc.combinatorics import binomial
 from ic_alloc.design import (
@@ -272,7 +273,7 @@ def test_pickle_and_copy_round_trips_keep_each_value_and_its_refine(trip):
     assert refine(base, x2).groups == fp.groups
     assert refine(base2, x).groups == fp.groups
     assert refine(fp2, x).groups == refine(fp, x).groups == fp.groups
-    assert metrics._footprint_sizes(fp2) == metrics._footprint_sizes(fp)
+    assert design.footprint_sizes(fp2) == design.footprint_sizes(fp)
 
 
 def test_no_module_keeps_a_registry_keyed_by_identity():
@@ -288,6 +289,22 @@ def test_no_module_keeps_a_registry_keyed_by_identity():
                 found += [(path.name, ast.unparse(target))
                           for target in getattr(node, "targets", [getattr(node, "target", None)])]
     assert found == [("tasks.py", "_complete")]  # the complete-set cache, no path switch
+
+
+def test_design_alone_reads_the_marks():
+    # the marks that make blindness verifiable are set and read in one module
+    marks, found = {"of", "inside", "runs", "labels"}, []
+    for path in sorted((Path(design.__file__).parent).glob("*.py")):
+        if path.name == "design.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in marks:
+                found.append((path.name, node.lineno))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in {"getattr", "hasattr", "setattr"} and len(node.args) > 1
+                  and isinstance(node.args[1], ast.Constant) and node.args[1].value in marks):
+                found.append((path.name, node.lineno))
+    assert found == []
 
 
 def test_the_footprint_scan_stops_at_its_entry():
@@ -307,13 +324,13 @@ def test_stopped_scans_give_the_footprint_sizes(case, phi):
     n, d, N = CASES[case]
     base = build_base_partition(derive_parameters(n, d, N))
     assert base.placement == tuple(map(footprint, base.groups))
-    assert metrics._footprint_sizes(base) == list(map(len, base.placement))
+    assert design.footprint_sizes(base) == list(map(len, base.placement))
     x = thin(n, d, ThinningSpec(phi=phi, seed=5))
     # a parsed X takes the set path, and its refine is marked all the same
     for given in [x, parse_tasks(emit_tasks(x))] if phi == 0.5 else [x]:
         fp = refine(base, given)
         assert fp.groups.inside is fp.placement
-        assert metrics._footprint_sizes(fp) == [len(footprint(g)) for g in fp.groups]
+        assert design.footprint_sizes(fp) == [len(footprint(g)) for g in fp.groups]
 
 
 @pytest.mark.parametrize("marked", ["construction", "refine"])
@@ -328,8 +345,8 @@ def test_a_mark_beside_another_placement_is_not_trusted(marked):
     q = Partition(**{**p.__dict__, "placement": (p.placement[0], first, *p.placement[2:])})
     full = [len(footprint(g)) for g in q.groups]
     assert len(first) < full[1] == len(p.placement[1])
-    assert metrics._footprint_sizes(q) == full
-    assert metrics._footprint_sizes(refine(q, x)) == full
+    assert design.footprint_sizes(q) == full
+    assert design.footprint_sizes(refine(q, x)) == full
 
 
 def test_a_hand_built_partition_with_a_tuple_outside_its_entry_is_scanned_in_full():
@@ -343,6 +360,6 @@ def test_a_hand_built_partition_with_a_tuple_outside_its_entry_is_scanned_in_ful
     groups = list(fp.groups)
     groups[b] += (outside,)
     hand = Partition(**{**fp.__dict__, "groups": tuple(groups)})
-    sizes = metrics._footprint_sizes(hand)
+    sizes = design.footprint_sizes(hand)
     assert sizes == [len(footprint(g)) for g in groups]
     assert sizes[b] > len(set(chain.from_iterable(fp.groups[b])))

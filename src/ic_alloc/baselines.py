@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from itertools import compress
 
-from .combinatorics import _rank, binomial, enumerate_lex
+from .combinatorics import _rank, as_text, binomial, enumerate_lex
 from .counting import block_slices
 from .design import DEFAULT_MATERIALIZE_CAP, Partition, _own_placement
 from .errors import InstanceTooLarge, InvalidArgument, InvalidPhi
@@ -112,8 +112,9 @@ def thin(n: int, d: int, spec: ThinningSpec) -> TaskSet:
     total, budget = binomial(n, d), 73 * DEFAULT_MATERIALIZE_CAP  # the cap's tuples at 73 B each
     num, den = spec.phi.as_integer_ratio()  # exact, as a float of C(n, d) may overflow
     if total + (held := 72 * total * num // den) > budget:  # about 72 B a kept tuple
-        raise InstanceTooLarge(f"thin({n}, {d}) at phi = {spec.phi} needs {total} keep bytes and "
-                               f"about {held} bytes of kept tuples, over {budget} bytes")
+        raise InstanceTooLarge(f"thin({n}, {d}) at phi = {spec.phi} needs {as_text(total)} keep "
+                               f"bytes and about {as_text(held)} bytes of kept tuples, over "
+                               f"{budget} bytes")
     threshold = min(1 << 64, int(spec.phi * (1 << 64)))
     keep = _keep_flags(spec.seed, threshold, total)
     full = _complete.get((n, d))

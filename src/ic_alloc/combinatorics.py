@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import suppress
 from itertools import chain, combinations, islice
-from math import comb
+from math import comb, log10
 from operator import lt
 from typing import Iterator, Sequence
 
@@ -26,6 +26,19 @@ def binomial(n: int, k: int) -> int:
     if k > n:
         return 0
     return comb(n, k)
+
+
+def as_text(x: int) -> str:
+    """x in decimal or, past Python's int-to-text limit (4,300 digits by default), as its
+    first two digits, cut rather than rounded, times a power of ten: C(10^7, 1000) is 2.3e4432."""
+    try:
+        return str(x)
+    except ValueError:
+        a = abs(x)
+        e = int(log10(a))  # a float, so one off where a is within 1e-12 of a power of ten
+        e += (a >= 10 ** (e + 1)) - (a < 10 ** e)
+        lead = a // 10 ** (e - 1)
+        return f"{'-' * (x < 0)}{lead // 10}.{lead % 10}e{e}"
 
 
 def validate_dtuple(t, n: int, d: int | None = None) -> DTuple:
@@ -91,7 +104,7 @@ def lex_unrank(r: int, n: int, d: int) -> DTuple:
         raise InvalidDimensions(f"need 1 <= d <= n, got n={n}, d={d}")
     total = binomial(n, d)
     if r < 1 or r > total:
-        raise RankOutOfRange(f"rank {r} outside [1, {total}]")
+        raise RankOutOfRange(f"rank {as_text(r)} outside [1, {as_text(total)}]")
     # _rank backwards: total - r = sum_i C(n - t_i, d - i), each t_i the least that still fits
     out, rem, x = [], total - r, 0
     for i in range(d):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .combinatorics import binomial
+from .combinatorics import as_text, binomial
 from .errors import (
     BetaOutOfRange,
     DegenerateDenominator,
@@ -133,7 +133,7 @@ def phi_min(n: int, d: int, N: int) -> PhiMinResult:
     denom = binomial(n, d) - (1 << (d + 2)) * N
     if denom <= 0:
         raise DegenerateDenominator(
-            f"C({n},{d}) must exceed 2^{d + 2}*{N}; got margin {denom}"
+            f"C({n},{d}) must exceed 2^{d + 2}*{N}; got margin {as_text(denom)}"
         )
     value = 96.0 * N * math.log(2 * N * n) / denom
     return PhiMinResult(value=value, vacuous=value > 1.0)

@@ -36,7 +36,8 @@ from itertools import chain, combinations, compress, cycle, islice, repeat
 from operator import ne
 from typing import Iterator, NamedTuple
 
-from .combinatorics import DTuple, _rank, binomial, lex_unrank, validate_dtuple, validate_dtuples
+from .combinatorics import (DTuple, _rank, as_text, binomial, lex_unrank, validate_dtuple,
+                            validate_dtuples)
 from .counting import block_bounds, block_index, block_slices, m_beta
 from .covering import Block, PrefixTables, count_below, prefix_tables, ways_by_count
 from .errors import (
@@ -275,7 +276,7 @@ def build_base_partition(params: ICParameters) -> Partition:
     total = binomial(params.n, params.d)
     if max(total, params.N) > DEFAULT_MATERIALIZE_CAP:
         raise InstanceTooLarge(
-            f"C({params.n},{params.d}) = {total} tuples or N = {params.N} groups exceeds "
+            f"C({params.n},{params.d}) = {as_text(total)} tuples or N = {params.N} groups exceeds "
             f"the materialization cap {DEFAULT_MATERIALIZE_CAP}; the CLI materializes, and "
             "only the library calls assign_base_group and assign_tasks stream"
         )
@@ -292,10 +293,12 @@ def build_base_partition(params: ICParameters) -> Partition:
 
 def footprint(group, within: tuple[int, ...] = ()) -> tuple[int, ...]:
     """The distinct files a group of tuples touches, ascending.  Given files `within`
-    that hold every tuple of the group, the scan stops once it has met them all."""
+    that hold every tuple of the group, the scan stops once it has met them all; each
+    check follows at most 256 tuples, spread evenly over the whole group."""
     files: set[int] = set()
-    for i in range(0, len(group), 256):  # tuples taken before each check
-        files.update(chain.from_iterable(group[i:i + 256]))
+    step = -(-len(group) // 256)  # batch i: every step-th tuple from tuple i
+    for i in range(step):
+        files.update(chain.from_iterable(group[i::step]))
         if len(files) == len(within):
             return within
     return tuple(sorted(files))

@@ -922,6 +922,11 @@ BAD_INPUTS = {
         "thin", "--n", "5000", "--d", "3", "--phi", "0.5", "--seed", "1"],
     "thin-complete-beyond-the-byte-budget": lambda tmp: [
         "thin", "--n", "1800", "--d", "3", "--phi", "1.0", "--seed", "1"],
+    # C(10^7, 1000) has 4,433 digits, past the interpreter's int-to-text limit
+    "partition-count-past-the-digit-limit": lambda tmp: [
+        "partition", "--n", "10000000", "--d", "1000", "--workers", "5"],
+    "thin-count-past-the-digit-limit": lambda tmp: [
+        "thin", "--n", "10000000", "--d", "1000", "--phi", "0.5", "--seed", "1"],
     "eval-tasks-on-baseline-partition": lambda tmp: [
         "eval", "--partition", _baseline_partition(tmp, 7),
         "--tasks", _tasks_file(tmp, EXAMPLE1_TEXT)],

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ic_alloc.combinatorics import (
+    as_text,
     binomial,
     enumerate_lex,
     lex_rank,
@@ -113,6 +114,15 @@ def test_unrank_out_of_range():
         lex_unrank(0, 6, 2)
     with pytest.raises(RankOutOfRange):
         lex_unrank(16, 6, 2)
+    # C(10^7, 1000) has 4,433 digits, too many for str(); the message states it all the same
+    with pytest.raises(RankOutOfRange, match=r"outside \[1, 2\.3e4432\]"):
+        lex_unrank(0, 10**7, 1000)
+
+
+def test_as_text_states_a_count_past_the_digit_limit():
+    assert [as_text(x) for x in (7, -74, 10**4400, 10**4400 - 1, 10**4400 + 1)] == [
+        "7", "-74", "1.0e4400", "9.9e4399", "1.0e4400"]
+    assert as_text(-(19 * 10**4500 + 9)) == "-1.9e4501"
 
 
 def test_validate_dtuple_rejects_bad_tuples():

@@ -267,6 +267,8 @@ def test_phi_min_recomputed_from_formula():
 def test_phi_min_degenerate():
     with pytest.raises(DegenerateDenominator):
         phi_min(10, 2, 10)  # C(10,2)=45 <= 16*10
+    with pytest.raises(DegenerateDenominator, match=r"margin -1\.1e4516$"):
+        phi_min(15000, 15000, 1)  # a margin of 4,517 digits
 
 
 # --- pi lower bound --------------------------------------------------------

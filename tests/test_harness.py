@@ -137,6 +137,14 @@ def test_sweep_unsupported_points_become_skip_records():
     assert records[1].pi == 4
 
 
+def test_a_point_past_the_digit_limit_becomes_a_skip_record():
+    # C(10^7, 1000) has 4,433 digits, too many for str()
+    for phi in (1.0, 0.5):
+        [rec] = sweep([(10**7, 1000, 5, phi, 1)])
+        assert rec.case == "unsupported" and rec.pi is None
+        assert "2.3e4432 tuples" in rec.error
+
+
 def test_sweep_empty_grid():
     assert sweep([]) == []
 

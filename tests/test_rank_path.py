@@ -308,14 +308,46 @@ def test_design_alone_reads_the_marks():
 
 
 def test_the_footprint_scan_stops_at_its_entry():
-    # the second chunk holds a file outside the entry, which a scan that
-    # stops once the whole entry is met never reads
+    # the last tuple holds a file outside the entry; the first batch, spread
+    # over the group, meets the whole entry, so the scan never reads that tuple
     within = (1, 2, 3)
     group = ((1, 2), (2, 3)) * 10_000 + ((3, 9),)
     assert footprint(group, within) is within
     assert footprint(group) == (1, 2, 3, 9)
     assert footprint(group[-1:], within) == (3, 9)  # a scan that never meets all of it
     assert footprint((), within) == ()
+
+
+class _Counted(tuple):
+    """A group that counts the tuples its slices hand out."""
+
+    read = 0
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.read += len(out)
+        return out
+
+
+def test_each_footprint_check_follows_tuples_spread_over_the_group():
+    # the first 256 tuples in a row miss file 3, which every other tuple holds
+    within = (1, 2, 3)
+    group = _Counted(((1, 2),) * 256 + ((2, 3),) * 256)
+    assert footprint(group, within) is within
+    assert group.read <= 256
+
+
+@pytest.mark.parametrize("phi", [0.1, 0.5, 0.9])
+def test_the_scans_of_a_refine_stop_after_a_few_batches(phi):
+    # a scan of 256 tuples in a row read 16,998 or more of these X's tuples
+    n, d, N = 121, 3, 40
+    base = build_base_partition(derive_parameters(n, d, N))
+    fp = refine(base, thin(n, d, ThinningSpec(phi=phi, seed=9)))
+    groups = [_Counted(g) for g in fp.groups]
+    sizes = [len(footprint(g, h)) for g, h in zip(groups, fp.placement)]
+    assert sizes == [len(footprint(g)) for g in fp.groups]
+    assert sum(g.read for g in groups) <= 12_000
 
 
 @pytest.mark.parametrize("phi", PHIS)
@@ -339,12 +371,13 @@ def test_a_mark_beside_another_placement_is_not_trusted(marked):
     base = build_base_partition(derive_parameters(n, d, N))
     x = thin(n, d, ThinningSpec(phi=1.0, seed=0))
     p = base if marked == "construction" else refine(base, x)
-    # entry 1 holds only the files of its group's first 256 tuples, which a scan stopping at
-    # the entry would meet first; the entry's own size would be short too
-    first = footprint(p.groups[1][:256])
-    q = Partition(**{**p.__dict__, "placement": (p.placement[0], first, *p.placement[2:])})
+    # entry 5 holds only the files of its group's first batch, every step-th tuple from the
+    # first, which a scan stopping at the entry would meet first; its size would be short too
+    step = -(-len(p.groups[5]) // 256)
+    first = footprint(p.groups[5][::step])
+    q = Partition(**{**p.__dict__, "placement": (*p.placement[:5], first, *p.placement[6:])})
     full = [len(footprint(g)) for g in q.groups]
-    assert len(first) < full[1] == len(p.placement[1])
+    assert len(first) < full[5] == len(p.placement[5])
     assert design.footprint_sizes(q) == full
     assert design.footprint_sizes(refine(q, x)) == full
 

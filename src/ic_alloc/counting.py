@@ -135,7 +135,8 @@ def phi_min(n: int, d: int, N: int) -> PhiMinResult:
         raise DegenerateDenominator(
             f"C({n},{d}) must exceed 2^{d + 2}*{N}; got margin {as_text(denom)}"
         )
-    value = 96.0 * N * math.log(2 * N * n) / denom
+    num, den = (96.0 * N * math.log(2 * N * n)).as_integer_ratio()  # exact past float range
+    value = num / (den * denom)
     return PhiMinResult(value=value, vacuous=value > 1.0)
 
 

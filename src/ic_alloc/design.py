@@ -199,9 +199,9 @@ def support_of(t, params: ICParameters) -> SupportInfo:
 
 class _Groups(tuple):
     """A construction's groups carry the rank ranges `runs` that cut them from a complete set
-    (see _prime_partition), N' as `labels` and the placement `of` their footprints; a refine
-    of them, the placement each group lies `inside`.  Only this module sets and reads them; a
-    mark counts only where it is its partition's own placement, or groups are scanned in full."""
+    (see _prime_partition) and N' as `labels`; they and each refine of them, the placement
+    their groups lie `inside`.  Only this module sets and reads them; `inside` counts only
+    where it is its partition's own placement, or groups are scanned in full."""
 
 
 @lru_cache(maxsize=2)
@@ -287,7 +287,7 @@ def build_base_partition(params: ICParameters) -> Partition:
     groups = _Groups(out)
     groups.runs, groups.labels = prime.runs, params.N_prime
     # group b touches only the families of label b mod N' and the tail, so its scan stops there
-    groups.of = placement = tuple(map(footprint, groups, cycle(_label_files(params))))
+    groups.inside = placement = tuple(map(footprint, groups, cycle(_label_files(params))))
     return Partition(params.n, params.d, groups, placement, params, {"phi": 1.0})
 
 
@@ -305,10 +305,8 @@ def footprint(group, within: tuple[int, ...] = ()) -> tuple[int, ...]:
 
 
 def footprint_sizes(p: Partition) -> list[int]:
-    """Each group's file count; a mark of p's groups (see _Groups) counts if it is p's."""
-    if getattr(p.groups, "of", None) is p.placement:  # a construction: its footprints are placed
-        return list(map(len, p.placement))
-    # a refine of one stops each scan at its whole entry; other groups are scanned in full
+    """Each group's file count, by a scan that stops at the group's whole placement entry
+    where p's groups are marked inside p's placement (see _Groups), else by a full scan."""
     held = p.placement if getattr(p.groups, "inside", None) is p.placement else repeat(())
     return [len(footprint(g, h)) for g, h in zip(p.groups, held)]
 
@@ -377,7 +375,8 @@ class Router:
     def classes_within(self, families) -> Iterator[_SupportClass]:
         """Every non-empty support class whose families all lie in
         `families` (one label, or all of [f]), by support size."""
-        for beta in range(self.params.d + 1):
+        for beta in range(-(-max(0, self.params.d - self.params.g) // self.params.family_size),
+                          self.params.d + 1):  # fewer families hold no d-tuple, with the tail
             for I in combinations(families, beta):
                 for exc in (False, True):
                     cls = self.support_class(I, exc)
@@ -506,17 +505,16 @@ def assign_base_group(t, params: ICParameters) -> int:
 def refine(base: Partition, tasks: TaskSet) -> Partition:
     """Intersect each group with X.  The placement is copied unchanged from
     the base partition, so the file allocation is identical for every X.
-    X holding keep bytes (see thin), against a construction's groups beside their own
-    placement (see _Groups), is dealt out by those bytes joined along the runs; other
-    input, such as a parsed or copied X or a parsed or refined base, is intersected
-    with each group as a set.  Either way, a refine of those groups marks its own."""
+    X holding keep bytes (see thin), against a construction's groups (which carry their
+    runs, see _Groups), is dealt out by those bytes joined along the runs; other input,
+    such as a parsed or copied X or a parsed or refined base, is intersected with each
+    group as a set.  Either way, groups marked inside their placement mark their refine's."""
     if tasks.n != base.n or tasks.d != base.d:
         raise DimensionMismatch(
             f"tasks are ({tasks.n},{tasks.d}) but partition is ({base.n},{base.d})"
         )
-    built = getattr(base.groups, "of", None) is base.placement
     keep = getattr(tasks, "keep", None)
-    if not built or keep is None:
+    if keep is None or not hasattr(base.groups, "runs"):
         wanted = frozenset(tasks.edges)
         groups = _Groups(tuple(filter(wanted.__contains__, g)) for g in base.groups)
     else:
@@ -526,7 +524,7 @@ def refine(base: Partition, tasks: TaskSet) -> Partition:
             g = base.groups[b]
             dealt[b], a = tuple(compress(g, kept[a:a + len(g)])), a + len(g)
         groups = _Groups(dealt)
-    if built:
+    if getattr(base.groups, "inside", None) is base.placement:
         groups.inside = base.placement
     return Partition(base.n, base.d, groups, base.placement, base.params, _task_metadata(tasks))
 

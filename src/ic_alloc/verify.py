@@ -70,7 +70,8 @@ def run_invariant_checks(p: Partition) -> list[Check]:
     add("promised_bounds", report.bounds_ok, "all applicable cost bounds hold")
 
     if base is not None:
-        add("matches_construction", matches, "group contents equal the canonical construction")
+        add("matches_construction", matches, "group contents equal the canonical construction"
+            if same else "each group lies inside the construction's group")
         add("footprints_match_construction", p.placement == base.placement,
             "placement equals the canonical footprints")
     return checks

@@ -64,6 +64,13 @@ def test_partition_to_stdout(capsys):
     assert fp.groups[0] == ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 
 
+def test_partition_at_d_equal_n(capsys):
+    # one 50-tuple; the build visits no support class too small to hold it
+    code, out, _ = run(capsys, "partition", "--n", "50", "--d", "50", "--workers", "1")
+    assert code == 0
+    assert parse_partition(out).groups == ((tuple(range(1, 51)),),)
+
+
 def test_partition_with_tasks(tmp_path, capsys):
     tasks = tmp_path / "x.txt"
     tasks.write_text(EXAMPLE1_TEXT)
@@ -580,20 +587,25 @@ def test_verify_validates_no_tuple_itself(monkeypatch):
 
 
 def test_verify_computes_each_footprint_once(monkeypatch):
-    # the groups of a complete file equal the construction's, whose placement
-    # holds their footprints, so only the build computes them; a refined
-    # file's groups need their own
+    # the groups of a complete file equal the construction's, which lie inside
+    # its placement, so the report's scans stop at each entry and return it; a
+    # refined file's groups are scanned in full
     complete = parse_partition(json.dumps(_partition_doc(12, 2, 3)))
     base = build_base_partition(derive_parameters(12, 2, 3))
     refined = parse_partition(emit_partition(refine(base, thin(12, 2, ThinningSpec(0.5, 1)))))
     calls = []
     footprint = design.footprint
-    monkeypatch.setattr(design, "footprint",
-                        lambda g, *held: calls.append(g) or footprint(g, *held))
+
+    def spy(g, *held):
+        calls.append((held, footprint(g, *held)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(design, "footprint", spy)
     expected = metrics.full_report(complete, complete.params)
     calls.clear()
     checks = verify.run_invariant_checks(complete)
-    assert all(c.ok for c in checks) and len(calls) == 3
+    assert all(c.ok for c in checks) and len(calls) == 6  # 3 in the build, 3 in the report
+    assert all(len(held) == 1 and out is held[0] for held, out in calls[3:])
     assert metrics.full_report(base, complete.params) == expected
     calls.clear()
     assert all(c.ok for c in verify.run_invariant_checks(refined)) and len(calls) == 6
@@ -635,6 +647,20 @@ def test_verify_compares_a_refined_file_with_the_construction(tmp_path, capsys):
     code, checks = _verify_doc(doc, tmp_path, capsys)
     assert code == 1
     assert [name for name, ok in checks.items() if not ok] == ["footprints_match_construction"]
+
+
+def test_verify_says_what_a_refined_file_matches(tmp_path, capsys):
+    # a complete file equals the construction; a refined one lies inside it
+    for doc, detail in [
+        (_partition_doc(60, 2, 6), "group contents equal the canonical construction"),
+        (_refined_doc(60, 2, 6, 0.5, 7), "each group lies inside the construction's group"),
+    ]:
+        part = tmp_path / "p.json"
+        part.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", "--partition", str(part))
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert code == 0 and checks["matches_construction"] == {
+            "name": "matches_construction", "ok": True, "detail": detail}
 
 
 def _move_within_family_1(doc):

@@ -264,6 +264,21 @@ def test_phi_min_recomputed_from_formula():
         assert math.isclose(r.value, expected, rel_tol=1e-12)
 
 
+def test_phi_min_past_the_float_range():
+    # C(1100, 400) is about 10^311, past any float, while phi_min is a float
+    n, d, N = 1100, 400, 5
+    r = phi_min(n, d, N)
+    log_value = math.log(96 * N * math.log(2 * N * n)) - math.log(
+        binomial(n, d) - 2 ** (d + 2) * N)
+    assert r.value > 0 and math.isclose(r.value, math.exp(log_value), rel_tol=1e-12)
+    r = phi_min(10**7, 1000, 5)
+    assert r.value == 0.0 and not r.vacuous
+    # within the float range the value keeps its bits
+    for n, d, N in [(1000, 2, 10), (200, 2, 10), (100, 2, 10), (399, 6, 7), (57, 3, 40)]:
+        old = 96.0 * N * math.log(2 * N * n) / (binomial(n, d) - (1 << (d + 2)) * N)
+        assert phi_min(n, d, N).value == old
+
+
 def test_phi_min_degenerate():
     with pytest.raises(DegenerateDenominator):
         phi_min(10, 2, 10)  # C(10,2)=45 <= 16*10

@@ -573,6 +573,21 @@ def test_materialized_build_builds_no_ranking_tables(monkeypatch):
     assert built
 
 
+def test_a_build_at_d_equal_n_visits_only_classes_that_can_hold_a_tuple(monkeypatch):
+    """At n = d = 16, N = 1 the 16 families have one file each, so only the
+    class of all 16 families holds the single 16-tuple; the 2^16 smaller
+    supports hold none and are not visited."""
+    calls = []
+    support_class = Router.support_class
+    monkeypatch.setattr(Router, "support_class",
+                        lambda self, *key: calls.append(key) or support_class(self, *key))
+    params = derive_parameters(16, 16, 1)
+    _prime_partition.cache_clear()
+    base = build_base_partition(params)
+    assert base.groups == ((tuple(range(1, 17)),),)
+    assert len(calls) <= 2
+
+
 def test_router_tables_are_shared_by_shape(monkeypatch):
     """Routing 20,000 stream tuples at n=600, d=3, N=200 builds at most one
     table per (block shape, elements left): 2 (d + 1) d, whatever the

@@ -1,14 +1,14 @@
 """refine's run path: an X holding thin's keep bytes, refined against the
-groups build_base_partition marked beside their own placement, is dealt out by
-those bytes joined along the construction's rank runs.  It must give exactly
-what intersecting each group with the set of X's edges gives, and every other
-input must take that set path.  The facts that pick the path travel on the
-values, so every thinned X, however old, takes the run path, a copy of a
-construction too, while a copied or unpickled X holds no keep bytes.  A refine
-of a construction has its footprint sizes from scans that stop at each group's
-placement entry, which must equal the full scans; a mark beside any other
-placement is not trusted.  No module keeps a registry keyed by identity, and no
-module but design reads a mark."""
+groups build_base_partition marked with their rank runs, is dealt out by those
+bytes joined along the runs, whatever the groups are placed on.  It must give
+exactly what intersecting each group with the set of X's edges gives, and every
+other input must take that set path.  The facts that pick the path travel on
+the values, so every thinned X, however old, takes the run path, a copy of a
+construction too, while a copied or unpickled X holds no keep bytes.  A
+construction and every refine of it have their footprint sizes from scans that
+stop at each group's placement entry, which must equal the full scans; a mark
+beside any other placement is not trusted.  No module keeps a registry keyed by
+identity, and no module but design reads a mark."""
 
 import ast
 import copy
@@ -202,7 +202,7 @@ def _moved(p: Partition) -> Partition:
 
 
 @pytest.mark.parametrize("other", [
-    "parsed", "moved_tuple", "refined", "no_params", "other_placement", "copy_without_params",
+    "parsed", "moved_tuple", "refined", "no_params", "copy_without_params",
 ])
 def test_a_base_other_than_a_built_construction_takes_the_set_path(other, set_path):
     n, d, N = 12, 2, 8
@@ -214,7 +214,6 @@ def test_a_base_other_than_a_built_construction_takes_the_set_path(other, set_pa
         "moved_tuple": lambda: _moved(parsed),
         "refined": lambda: refine(base, thin(n, d, ThinningSpec(phi=0.5, seed=7))),
         "no_params": lambda: Partition(**{**parsed.__dict__, "params": None}),
-        "other_placement": lambda: Partition(**{**base.__dict__, "placement": parsed.placement}),
         # the construction's own groups and placement: it may take either path
         "copy_without_params": lambda: Partition(**{**base.__dict__, "params": None}),
     }[other]()
@@ -224,6 +223,21 @@ def test_a_base_other_than_a_built_construction_takes_the_set_path(other, set_pa
         assert given.groups is base.groups
     else:
         assert len(set_path) == 1
+
+
+def test_a_construction_beside_another_placement_takes_the_run_path(set_path):
+    # the runs cut the groups whatever they are placed on, but the refine is not
+    # marked inside a placement the groups were not marked inside
+    n, d, N = 12, 2, 8
+    base = build_base_partition(derive_parameters(n, d, N))
+    parsed = parse_partition(emit_partition(base))
+    given = Partition(**{**base.__dict__, "placement": parsed.placement})
+    x = thin(n, d, ThinningSpec(phi=0.6, seed=8))
+    fp = refine(given, x)
+    assert set_path == []
+    assert fp.groups == plain(given, x)
+    assert not hasattr(fp.groups, "inside")
+    assert design.footprint_sizes(fp) == [len(footprint(g)) for g in fp.groups]
 
 
 def test_a_parsed_task_set_takes_the_set_path(set_path):
@@ -347,6 +361,21 @@ def test_the_scans_of_a_refine_stop_after_a_few_batches(phi):
     groups = [_Counted(g) for g in fp.groups]
     sizes = [len(footprint(g, h)) for g, h in zip(groups, fp.placement)]
     assert sizes == [len(footprint(g)) for g in fp.groups]
+    assert sum(g.read for g in groups) <= 12_000
+
+
+@pytest.mark.parametrize("phi", [0.1, 0.5, 0.9])
+def test_a_refine_of_a_refine_stops_its_scans(phi):
+    # scans of every tuple read 14,468 or more of these groups' tuples
+    n, d, N = 121, 3, 40
+    base = build_base_partition(derive_parameters(n, d, N))
+    once = refine(base, thin(n, d, ThinningSpec(phi=phi, seed=9)))
+    twice = refine(once, thin(n, d, ThinningSpec(phi=0.5, seed=10)))
+    assert twice.groups.inside is twice.placement is base.placement
+    assert design.footprint_sizes(twice) == [len(footprint(g)) for g in twice.groups]
+    groups = [_Counted(g) for g in twice.groups]
+    assert [len(footprint(g, h)) for g, h in zip(groups, twice.placement)] == list(
+        map(len, map(footprint, twice.groups)))
     assert sum(g.read for g in groups) <= 12_000
 
 

@@ -32,7 +32,7 @@ from .counting import block_slices
 from .design import DEFAULT_MATERIALIZE_CAP, Partition, _own_placement
 from .errors import InstanceTooLarge, InvalidArgument, InvalidPhi
 from .records import Record
-from .tasks import GENERATOR_ID, TaskSet, _complete
+from .tasks import GENERATOR_ID, TaskSet, _complete, _Kept
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -104,11 +104,12 @@ class ThinningSpec(Record):
 
 
 def thin(n: int, d: int, spec: ThinningSpec) -> TaskSet:
-    """Keep each tuple of the complete d-uniform set independently with
-    probability phi.  phi=1 keeps everything, phi=0 nothing.  X holds the
-    keep byte of every rank in its slot `keep` (see TaskSet).  Beside a live
-    complete set of (n, d) (a construction's cache entry holds one), X
-    selects its tuple objects; otherwise X enumerates equal tuples anew."""
+    """Keep each tuple of the complete d-uniform set independently with probability phi.
+    phi=1 keeps everything, phi=0 nothing.  X holds the keep byte of every rank in its slot
+    `keep` (see TaskSet).  Beside a live complete set of (n, d) (a construction's cache entry
+    holds one), X's edges select its tuple objects: a _Kept, whose len counts the keep bytes
+    and which iterating, indexing, comparing, hashing, adding, printing or pickling makes into
+    a tuple.  Otherwise X enumerates equal tuples anew."""
     total, budget = binomial(n, d), 73 * DEFAULT_MATERIALIZE_CAP  # the cap's tuples at 73 B each
     num, den = spec.phi.as_integer_ratio()  # exact, as a float of C(n, d) may overflow
     if total + (held := 72 * total * num // den) > budget:  # about 72 B a kept tuple
@@ -117,12 +118,9 @@ def thin(n: int, d: int, spec: ThinningSpec) -> TaskSet:
                                f"{budget} bytes")
     threshold = min(1 << 64, int(spec.phi * (1 << 64)))
     keep = _keep_flags(spec.seed, threshold, total)
-    full = _complete.get((n, d))
-    kept = compress(enumerate_lex(n, d) if full is None else full.edges, keep)
-    x = TaskSet(  # a streamed X is listed first, as TaskSet.full lists its set
-        n, d, tuple(list(kept) if full is None else kept),
-        phi=spec.phi, seed=spec.seed, generator_id=GENERATOR_ID,
-    )
+    full = _complete.get((n, d))  # without it, X is listed first, as TaskSet.full lists its set
+    edges = _Kept(full.edges, keep) if full else tuple(list(compress(enumerate_lex(n, d), keep)))
+    x = TaskSet(n, d, edges, phi=spec.phi, seed=spec.seed, generator_id=GENERATOR_ID)
     object.__setattr__(x, "keep", keep)
     return x
 

@@ -48,7 +48,7 @@ from .errors import (
     UnsupportedParameters,
 )
 from .records import Record
-from .tasks import TaskSet, refuse_duplicates
+from .tasks import TaskSet, _Kept, refuse_duplicates
 
 DIVISIBLE = "divisible"
 NONDIVISIBLE = "nondivisible"
@@ -100,10 +100,10 @@ class Partition(Record):
     placement: placement[b] is the files worker b holds, a superset of
     group b's own footprint.
 
-    The construction is the partition of the complete task set (phi = 1),
-    whose placement is its groups' footprints; refining it by any X keeps
-    that placement.  assign_tasks places the eligible-files bound instead,
-    and baseline partitioners place each group's own footprint.
+    The construction is the partition of the complete task set (phi = 1), whose placement
+    is its groups' footprints; refining it by any X keeps that placement.  assign_tasks
+    places the eligible-files bound instead, and baseline partitioners place each group's
+    own footprint.  A group may be a _Kept selection (see _Groups), read as its tuple.
     """
 
     n: int
@@ -199,9 +199,9 @@ def support_of(t, params: ICParameters) -> SupportInfo:
 
 class _Groups(tuple):
     """A construction's groups carry the rank ranges `runs` that cut them from a complete set
-    (see _prime_partition) and N' as `labels`; they and each refine of them, the placement
-    their groups lie `inside`.  Only this module sets and reads them; `inside` counts only
-    where it is its partition's own placement, or groups are scanned in full."""
+    (see _prime_partition) and N' as `labels`; they and each refine, the placement their groups
+    lie `inside`, which counts only where it is their partition's own (else scans are full).
+    Only this module sets and reads them.  A run-path refine's groups are _Kept (see _Kept)."""
 
 
 @lru_cache(maxsize=2)
@@ -292,14 +292,16 @@ def build_base_partition(params: ICParameters) -> Partition:
 
 
 def footprint(group, within: tuple[int, ...] = ()) -> tuple[int, ...]:
-    """The distinct files a group of tuples touches, ascending.  Given files `within`
-    that hold every tuple of the group, the scan stops once it has met them all; each
-    check follows at most 256 tuples, spread evenly over the whole group."""
+    """The distinct files a group of tuples touches, ascending.  Given files `within` that hold
+    every tuple of the group, the scan stops once it has met them all; each check follows at
+    most 256 tuples, spread evenly over the whole group.  A _Kept group is read unmade."""
     files: set[int] = set()
     step = -(-len(group) // 256)  # batch i: every step-th tuple from tuple i
+    keep = getattr(group, "keep", None)  # a _Kept not yet made: its batch i selects from base's
     for i in range(step):
-        files.update(chain.from_iterable(group[i::step]))
-        if len(files) == len(within):
+        files.update(chain.from_iterable(
+            group[i::step] if keep is None else compress(group.base[i::step], keep[i::step])))
+        if within and len(files) == len(within):  # a batch may keep nothing
             return within
     return tuple(sorted(files))
 
@@ -505,10 +507,10 @@ def assign_base_group(t, params: ICParameters) -> int:
 def refine(base: Partition, tasks: TaskSet) -> Partition:
     """Intersect each group with X.  The placement is copied unchanged from
     the base partition, so the file allocation is identical for every X.
-    X holding keep bytes (see thin), against a construction's groups (which carry their
-    runs, see _Groups), is dealt out by those bytes joined along the runs; other input,
-    such as a parsed or copied X or a parsed or refined base, is intersected with each
-    group as a set.  Either way, groups marked inside their placement mark their refine's."""
+    X holding keep bytes (see thin), against a construction's groups (which carry their runs,
+    see _Groups), is dealt out by those bytes joined along the runs into _Kept groups (made
+    when read); any other input (a parsed or copied X, a parsed or refined base) is intersected
+    with each group as a set.  Groups marked inside their placement mark their refine's."""
     if tasks.n != base.n or tasks.d != base.d:
         raise DimensionMismatch(
             f"tasks are ({tasks.n},{tasks.d}) but partition is ({base.n},{base.d})"
@@ -522,7 +524,7 @@ def refine(base: Partition, tasks: TaskSet) -> Partition:
         dealt, a = list(base.groups), 0
         for b in sorted(range(base.N), key=lambda b: b % base.groups.labels):  # label order
             g = base.groups[b]
-            dealt[b], a = tuple(compress(g, kept[a:a + len(g)])), a + len(g)
+            dealt[b], a = _Kept(g, kept[a:a + len(g)]), a + len(g)
         groups = _Groups(dealt)
     if getattr(base.groups, "inside", None) is base.placement:
         groups.inside = base.placement

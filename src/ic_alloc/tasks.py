@@ -3,8 +3,9 @@ lexicographic order, plus the sampling metadata that produced it."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import compress, islice
-from operator import eq
+from operator import add, contains, eq, getitem
 from typing import Iterable
 from weakref import WeakValueDictionary
 
@@ -20,14 +21,14 @@ class TaskSet(Record):
     """An edge set X over n files, every edge a strictly increasing
     d-tuple, stored sorted lexicographically with no duplicates.
 
-    The constructor checks only 1 <= d <= n and takes the edges as given:
-    callers holding edges in that canonical form (thin, full, parse_tasks)
-    build it directly.  Edges from anywhere else go through from_edges,
-    which validates them.
+    The constructor checks only 1 <= d <= n and takes the edges as given: callers holding
+    edges in that canonical form (thin, full, parse_tasks) build it directly.  Edges from
+    anywhere else go through from_edges, which validates them.
 
-    phi / seed / generator_id record how X was sampled, when it was.  An X from
-    thin also holds in the slot `keep`, no field, its keep bytes: keep[r - 1] is
-    truthy iff rank r is an edge (see refine).  A copy or unpickled X has none.
+    phi / seed / generator_id record how X was sampled, when it was.  An X from thin holds
+    in the slot `keep`, no field, its keep bytes: keep[r - 1] is truthy iff rank r is an
+    edge (see refine); a copy or unpickled X has none.  Beside a live complete set, its
+    edges are a _Kept of that set's tuples, which len counts and reading makes (see _Kept).
     """
 
     __slots__ = ("keep",)
@@ -63,6 +64,30 @@ class TaskSet(Record):
         if full is None:  # listed first: every collection walks a tuple growing from an iterator
             full = _complete[n, d] = TaskSet(n, d, tuple(list(enumerate_lex(n, d))), phi=1.0)
         return full
+
+
+class _Kept(Sequence):
+    """The elements of the tuple `base` whose byte in `keep` is 1, not 0 (thin's X, refine's
+    groups), as that tuple; len counts base's keep bytes alone (thin pads them).  Iterating,
+    indexing, in, ==, hash, + either side, repr or pickle make the tuple once, in place of both."""
+
+    __slots__ = ("base", "keep", "_len")
+
+    def __init__(self, base: tuple, keep: bytes):  # a 1 byte is a set bit: faster than bytes.count
+        self.base, self.keep = base, keep
+        self._len = int.from_bytes(memoryview(keep)[:len(base)], "little").bit_count()
+
+    def made(self) -> tuple:
+        if self.keep is not None:
+            self.base, self.keep = tuple(compress(self.base, self.keep)), None
+        return self.base
+
+    __len__ = lambda self: self._len
+    __iter__, __getitem__, __contains__, __eq__, __hash__, __add__, __repr__ = (
+        (lambda op: lambda self, *other: op(self.made(), *other))(op)
+        for op in (iter, getitem, contains, eq, hash, add, repr))
+    __radd__ = lambda self, other: other + self.made()
+    __reduce__ = lambda self: (tuple, (self.made(),))
 
 
 def refuse_duplicates(edges: list[DTuple]) -> list[DTuple]:

@@ -8,14 +8,17 @@ construction too, while a copied or unpickled X holds no keep bytes.  A
 construction and every refine of it have their footprint sizes from scans that
 stop at each group's placement entry, which must equal the full scans; a mark
 beside any other placement is not trusted.  No module keeps a registry keyed by
-identity, and no module but design reads a mark."""
+identity, and no module but design reads a mark.  The run path's groups, and a
+thinned X's edges, are kept selections (tasks._Kept) that read as the tuples they
+make on first use, and a blind round (thin, refine, its report) makes none."""
 
 import ast
 import copy
 import gc
 import pickle
+import random
 import tracemalloc
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 
 import pytest
@@ -27,8 +30,12 @@ from ic_alloc.design import (
     Partition, _derive, _prime_partition, build_base_partition, derive_parameters, footprint,
     refine,
 )
+from ic_alloc.baselines import lex_partition
 from ic_alloc.formats import emit_partition, emit_tasks, parse_partition, parse_tasks
-from ic_alloc.tasks import TaskSet
+from ic_alloc.harness import monte_carlo_delta
+from ic_alloc.metrics import delta_of, full_report, pi_of
+from ic_alloc.tasks import TaskSet, _Kept
+from ic_alloc.verify import run_invariant_checks
 
 # (n, d, N): the divisible and non-divisible cases with N = N', split labels
 # (N' < N < 2N'), N' | N with two slices per label, k capped at n (empty
@@ -425,3 +432,134 @@ def test_a_hand_built_partition_with_a_tuple_outside_its_entry_is_scanned_in_ful
     sizes = design.footprint_sizes(hand)
     assert sizes == [len(footprint(g)) for g in groups]
     assert sizes[b] > len(set(chain.from_iterable(fp.groups[b])))
+
+
+def _behaves_as(fresh, made: tuple):
+    """Every operation on a kept selection not yet made, from fresh(), against its tuple."""
+    other = made + ((0,),)
+    assert fresh() == made and made == fresh() and fresh() == fresh()
+    assert not fresh() != made and fresh() != other and other != fresh()
+    assert hash(fresh()) == hash(made) and len(fresh()) == len(made)
+    for i in {0, len(made) // 2, -1} if made else ():
+        assert fresh()[i] == made[i]
+    for cut in (slice(1, 5), slice(None, None, 3), slice(None, None, -2)):
+        assert type(fresh()[cut]) is tuple and fresh()[cut] == made[cut]
+    assert list(fresh()) == list(made) and list(reversed(fresh())) == list(reversed(made))
+    assert all(t in fresh() for t in made[:3]) and (0,) not in fresh()
+    for total in (fresh() + made, made + fresh(), fresh() + fresh()):
+        assert type(total) is tuple and total == made + made
+    assert repr(fresh()) == repr(made)
+    again = pickle.loads(pickle.dumps(fresh()))
+    assert type(again) is tuple and again == made
+
+
+@pytest.mark.parametrize("phi", PHIS)
+@pytest.mark.parametrize("case", list(CASES))
+def test_the_kept_groups_and_x_behave_as_tuples(case, phi):
+    n, d, N = CASES[case]
+    base = build_base_partition(derive_parameters(n, d, N))
+    x = thin(n, d, ThinningSpec(phi=phi, seed=3))
+    fp = refine(base, x)
+    assert type(x.edges) is _Kept and {type(g) for g in fp.groups} == {_Kept}
+    kept = [(x.edges.base, x.edges.keep)] + [(g.base, g.keep) for g in fp.groups]
+    edges = tuple(compress(TaskSet.full(n, d).edges, x.keep))
+    groups = plain(base, x)
+    for (b, k), made in zip(kept, (edges, *groups)):
+        _behaves_as(lambda: _Kept(b, k), made)
+    # the values themselves, made by these readers
+    eager = Partition(**{**fp.__dict__, "groups": groups})
+    assert emit_partition(fp) == emit_partition(eager)
+    assert run_invariant_checks(fp) == run_invariant_checks(eager)
+    made_x = TaskSet(**{**x.__dict__, "edges": edges})
+    assert lex_partition(x, N) == lex_partition(made_x, N)
+    assert emit_tasks(x) == emit_tasks(made_x) and x == made_x and hash(x) == hash(made_x)
+    sample = min(16, len(x))
+    assert random.Random(1).sample(x.edges, sample) == random.Random(1).sample(edges, sample)
+    trip = pickle.loads(pickle.dumps((x, fp)))
+    assert type(trip[0].edges) is tuple and {type(g) for g in trip[1].groups} <= {tuple}
+    assert trip == (x, fp)
+
+
+@pytest.fixture
+def made(monkeypatch):
+    """The length of each kept selection made into a tuple, in order."""
+    calls, make = [], _Kept.made
+
+    def spy(self):
+        if self.keep is not None:
+            calls.append(len(self))
+        return make(self)
+
+    monkeypatch.setattr(_Kept, "made", spy)
+    return calls
+
+
+@pytest.mark.parametrize("phi", [0.1, 0.5, 0.9])
+def test_a_blind_round_makes_no_tuple(phi, made):
+    n, d, N = 121, 3, 40
+    base = build_base_partition(derive_parameters(n, d, N))
+    x = thin(n, d, ThinningSpec(phi=phi, seed=9))
+    fp = refine(base, x)
+    report, pi, delta = full_report(fp), pi_of(fp), delta_of(fp)
+    assert len(x) == sum(map(len, fp.groups)) and type(x.edges) is _Kept
+    assert made == []
+    # one group read makes that group's tuple alone
+    group = list(fp.groups[3])
+    assert made == [len(group)]
+    assert group == list(plain(base, x)[3])
+    eager = Partition(**{**fp.__dict__, "groups": tuple(map(tuple, fp.groups))})
+    assert (report, pi, delta) == (full_report(eager), pi_of(eager), delta_of(eager))
+
+
+def test_monte_carlo_makes_no_tuple(made):
+    summary = monte_carlo_delta(121, 3, 40, 0.5, 2, 7)
+    assert summary.trials == 2 and made == []
+
+
+def test_len_counts_the_keep_bytes_of_the_complete_set_alone():
+    # thin pads its keep bytes to a multiple of 1024 ranks, and draws the padding too
+    n, d = 121, 3
+    assert binomial(n, d) == 287_980 == 281 * 1024 + 236
+    build_base_partition(derive_parameters(n, d, 40))  # X selects the complete set's tuples
+    x = thin(n, d, ThinningSpec(phi=1.0, seed=4))
+    assert x.keep == b"\1" * 282 * 1024
+    assert len(x) == len(x.edges) == 287_980
+    assert x.edges == TaskSet.full(n, d).edges
+    half = thin(n, d, ThinningSpec(phi=0.5, seed=4))
+    assert half.keep.count(1) > half.keep.count(1, 0, 287_980)
+    assert len(half) == len(tuple(half.edges))
+
+
+def test_a_full_scan_does_not_stop_at_a_batch_that_keeps_nothing():
+    # 257 of 600 tuples kept, all at odd positions: step 2, and batch 0 keeps nothing
+    tuples = tuple((i, i + 1) for i in range(1, 601))
+    keep = bytes(i % 2 and i < 2 * 257 for i in range(600))
+    group = _Kept(tuples, keep)
+    assert len(group) == 257
+    assert footprint(group) == footprint(tuple(compress(tuples, keep))) == tuple(range(2, 516))
+
+
+class _KeptReads(tuple):
+    """A base group that counts the kept tuples its slices hand to a scan."""
+
+    read = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.read += self.keep[key].count(1)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("phi", [0.1, 0.5, 0.9])
+def test_the_scans_of_a_kept_refine_stop_after_a_few_batches(phi):
+    # full scans would read every kept tuple: 29,015 / 144,137 / 259,168
+    n, d, N = 121, 3, 40
+    base = build_base_partition(derive_parameters(n, d, N))
+    fp = refine(base, thin(n, d, ThinningSpec(phi=phi, seed=9)))
+    bases = [_KeptReads(g.base) for g in fp.groups]
+    for b, g in zip(bases, fp.groups):
+        b.keep = g.keep
+    groups = [_Kept(b, g.keep) for b, g in zip(bases, fp.groups)]
+    sizes = [len(footprint(g, h)) for g, h in zip(groups, fp.placement)]
+    assert sizes == [len(footprint(tuple(g))) for g in fp.groups]
+    assert sum(b.read for b in bases) <= 14_000

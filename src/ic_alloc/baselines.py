@@ -130,6 +130,8 @@ def lex_partition(tasks: TaskSet, N: int) -> Partition:
     first.  The obvious baseline the construction is measured against."""
     if N < 1:
         raise InvalidArgument(f"need N >= 1, got {N}")
+    if N > DEFAULT_MATERIALIZE_CAP:  # refused before a group is allocated
+        raise InstanceTooLarge(f"N = {N} groups exceeds the cap {DEFAULT_MATERIALIZE_CAP}")
     groups = tuple(block_slices(tasks.edges, N))  # the edges are lexicographically sorted
     return _own_placement(tasks.n, tasks.d, groups, {"baseline": "lex"})
 
@@ -139,6 +141,8 @@ def random_partition(tasks: TaskSet, N: int, seed: int) -> Partition:
     deterministically from (seed, edge rank)."""
     if N < 1:
         raise InvalidArgument(f"need N >= 1, got {N}")
+    if N > DEFAULT_MATERIALIZE_CAP:  # refused before a group is allocated
+        raise InstanceTooLarge(f"N = {N} groups exceeds the cap {DEFAULT_MATERIALIZE_CAP}")
     groups: list[list] = [[] for _ in range(N)]
     for t in tasks.edges:  # canonical by the TaskSet contract; not validated again
         groups[(tuple_draw(seed, _rank(t, tasks.n)) * N) >> 64].append(t)

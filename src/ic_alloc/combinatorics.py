@@ -23,8 +23,6 @@ def binomial(n: int, k: int) -> int:
     """C(n, k), exact; 0 when k > n."""
     if n < 0 or k < 0:
         raise InvalidArgument("binomial arguments must be non-negative")
-    if k > n:
-        return 0
     return comb(n, k)
 
 

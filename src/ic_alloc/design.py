@@ -198,10 +198,10 @@ def support_of(t, params: ICParameters) -> SupportInfo:
 
 
 class _Groups(tuple):
-    """A construction's groups carry the rank ranges `runs` that cut them from a complete set
-    (see _prime_partition) and N' as `labels`; they and each refine, the placement their groups
-    lie `inside`, which counts only where it is their partition's own (else scans are full).
-    Only this module sets and reads them.  A run-path refine's groups are _Kept (see _Kept)."""
+    """A construction's groups carry the rank ranges `runs` that cut them from a complete set,
+    in label order (see _prime_partition), and `starts`, where each group begins in that order;
+    they and each refine, the placement their groups lie `inside`, which counts only where it is
+    their partition's own (else scans are full).  Only this module sets and reads them."""
 
 
 @lru_cache(maxsize=2)
@@ -281,11 +281,13 @@ def build_base_partition(params: ICParameters) -> Partition:
             "only the library calls assign_base_group and assign_tasks stream"
         )
     out: list[tuple[DTuple, ...]] = [()] * params.N  # slice j of label b0 (from 0): b0 + j * N'
+    starts, a = array("I", [0]) * params.N, 0  # each slice's offset, all slices in label order
     for b0, members in enumerate(prime := _prime_partition(params.n, params.d, params.k)):
         for j, part in enumerate(block_slices(members, params.p if b0 < params.r else params.q)):
             out[b0 + j * params.N_prime] = part
+            starts[b0 + j * params.N_prime], a = a, a + len(part)
     groups = _Groups(out)
-    groups.runs, groups.labels = prime.runs, params.N_prime
+    groups.runs, groups.starts = prime.runs, starts
     # group b touches only the families of label b mod N' and the tail, so its scan stops there
     groups.inside = placement = tuple(map(footprint, groups, cycle(_label_files(params))))
     return Partition(params.n, params.d, groups, placement, params, {"phi": 1.0})
@@ -314,8 +316,8 @@ def footprint_sizes(p: Partition) -> list[int]:
 
 
 def _within_placement(p: Partition) -> bool:
-    """Whether every group touches only files of its own placement entry."""
-    return all(set(h).issuperset(chain.from_iterable(g)) for g, h in zip(p.groups, p.placement))
+    """Whether every group touches only files of its own placement entry (by full scans)."""
+    return all(set(h).issuperset(footprint(g)) for g, h in zip(p.groups, p.placement))
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +347,9 @@ class Router:
     (i from 0), the sum of _weights[i][sigma_i].  Built on first use, it keeps each non-empty
     support class, the prefix tables of each block shape, each split label's cut tuples, the
     label ranks of each class routed through (8 bytes for each of its C(f - |I|, d - |I|)
-    labels) and label_files (N' tuples of s*d + g files).  After 20,000 stream tuples that is
-    0.16 MB at (600, 3, 200); at (10000, 5, 10^7), 81 MB of ranks for uniform tuples and 480
-    MB for tuples local to two families, 386 MB of it the 67 one-family classes.
+    labels) and placement (N references to N' tuples of s*d + g files).  After 20,000 stream
+    tuples that is 0.16 MB at (600, 3, 200); at (10000, 5, 10^7), 81 MB of ranks for uniform
+    tuples and 480 MB for tuples local to two families, 386 MB of it the 67 one-family classes.
     """
 
     def __init__(self, params: ICParameters):
@@ -429,9 +431,7 @@ class Router:
             cuts = self._cuts[b0] = self._label_cuts(lex_unrank(b0, p.f, p.d), parts)
         return b0 + bisect_right(cuts, t) * p.N_prime
 
-    @cached_property
-    def label_files(self) -> tuple[tuple[int, ...], ...]:
-        return eligible_placement(self.params)[: self.params.N_prime]  # one entry per label
+    placement = cached_property(lambda self: eligible_placement(self.params))  # assign_tasks
 
     def pieces(self, sigma: tuple[int, ...]) -> tuple[list[tuple[_SupportClass, int, int]], int]:
         """The support classes dealing members to label sigma, each with the
@@ -508,9 +508,9 @@ def refine(base: Partition, tasks: TaskSet) -> Partition:
     """Intersect each group with X.  The placement is copied unchanged from
     the base partition, so the file allocation is identical for every X.
     X holding keep bytes (see thin), against a construction's groups (which carry their runs,
-    see _Groups), is dealt out by those bytes joined along the runs into _Kept groups (made
-    when read); any other input (a parsed or copied X, a parsed or refined base) is intersected
-    with each group as a set.  Groups marked inside their placement mark their refine's."""
+    see _Groups), joins those bytes along the runs and deals each group its own from its start,
+    as a _Kept (made when read); any other input (a parsed or copied X, a parsed or refined
+    base) is intersected with each group as a set.  Groups marked inside mark their refine's."""
     if tasks.n != base.n or tasks.d != base.d:
         raise DimensionMismatch(
             f"tasks are ({tasks.n},{tasks.d}) but partition is ({base.n},{base.d})"
@@ -521,11 +521,8 @@ def refine(base: Partition, tasks: TaskSet) -> Partition:
         groups = _Groups(tuple(filter(wanted.__contains__, g)) for g in base.groups)
     else:
         kept = b"".join(map(keep.__getitem__, map(slice, *base.groups.runs)))
-        dealt, a = list(base.groups), 0
-        for b in sorted(range(base.N), key=lambda b: b % base.groups.labels):  # label order
-            g = base.groups[b]
-            dealt[b], a = _Kept(g, kept[a:a + len(g)]), a + len(g)
-        groups = _Groups(dealt)
+        groups = _Groups(_Kept(g, kept[a:a + len(g)])
+                         for g, a in zip(base.groups, base.groups.starts))
     if getattr(base.groups, "inside", None) is base.placement:
         groups.inside = base.placement
     return Partition(base.n, base.d, groups, base.placement, base.params, _task_metadata(tasks))
@@ -542,7 +539,7 @@ def eligible_placement(params: ICParameters) -> tuple[tuple[int, ...], ...]:
     label's families (label b mod N') plus the excluded tail.  Used by the streaming path,
     where exact footprints would require materialization (refused first over the cap, in
     groups or in file references).  Groups that share a label share one tuple, and every
-    tuple shares the families' files."""
+    tuple shares the families' files.  router(params).placement keeps it for assign_tasks."""
     files = params.family_size * params.d + params.g  # each label's, 8 bytes a reference
     if max(params.N, params.N_prime * files) > DEFAULT_MATERIALIZE_CAP:
         raise InstanceTooLarge(f"N = {params.N} groups, or N' = {params.N_prime} labels of {files} "
@@ -555,19 +552,18 @@ def assign_tasks(params: ICParameters, tasks: TaskSet) -> Partition:
     """Streaming refinement: route every edge of X with the parameters'
     Router, never materializing the base partition.  The reported placement
     is the eligible-files bound, a valid (slightly conservative) blind
-    placement, laid out from its Router's label_files (refused over the cap before routing)."""
+    placement: the Router's own, one tuple for every call (refused over the cap before routing)."""
     if tasks.n != params.n or tasks.d != params.d:
         raise DimensionMismatch(
             f"tasks are ({tasks.n},{tasks.d}) but parameters are "
             f"({params.n},{params.d})"
         )
     rt = router(params)
-    placement = tuple(islice(cycle(rt.label_files), params.N))
-    groups: list[list[DTuple]] = [[] for _ in range(params.N)]
+    groups: list[list[DTuple]] = [[] for _ in rt.placement]  # over the cap, placement refuses
     for e in tasks.edges:  # canonical by the TaskSet contract; not validated again
         groups[rt.route(e) - 1].append(e)
     return Partition(
-        params.n, params.d, tuple(tuple(g) for g in groups), placement, params,
+        params.n, params.d, tuple(tuple(g) for g in groups), rt.placement, params,
         _task_metadata(tasks),
     )
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from itertools import compress, islice
-from operator import add, contains, eq, getitem
+from operator import add, contains, eq, ge, getitem, gt, le, lt, mul
 from typing import Iterable
 from weakref import WeakValueDictionary
 
@@ -69,7 +69,8 @@ class TaskSet(Record):
 class _Kept(Sequence):
     """The elements of the tuple `base` whose byte in `keep` is 1, not 0 (thin's X, refine's
     groups), as that tuple; len counts base's keep bytes alone (thin pads them).  Iterating,
-    indexing, in, ==, hash, + either side, repr or pickle make the tuple once, in place of both."""
+    indexing, in, comparing, hash, + or * either side, repr or pickle make the tuple once, in
+    place of both.  As no tuple subclass, json.dumps refuses it: use emit_partition or tuple(g)."""
 
     __slots__ = ("base", "keep", "_len")
 
@@ -83,9 +84,9 @@ class _Kept(Sequence):
         return self.base
 
     __len__ = lambda self: self._len
-    __iter__, __getitem__, __contains__, __eq__, __hash__, __add__, __repr__ = (
-        (lambda op: lambda self, *other: op(self.made(), *other))(op)
-        for op in (iter, getitem, contains, eq, hash, add, repr))
+    (__iter__, __getitem__, __contains__, __eq__, __lt__, __le__, __gt__, __ge__, __hash__,
+     __add__, __mul__, __rmul__, __repr__) = ((lambda op: lambda self, *o: op(self.made(), *o))(op)
+        for op in (iter, getitem, contains, eq, lt, le, gt, ge, hash, add, mul, mul, repr))
     __radd__ = lambda self, other: other + self.made()
     __reduce__ = lambda self: (tuple, (self.made(),))
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import statistics
+import tracemalloc
 
 import pytest
 
@@ -16,13 +17,14 @@ from ic_alloc.baselines import (
 )
 from ic_alloc.combinatorics import binomial, enumerate_lex
 from ic_alloc.design import (
+    DEFAULT_MATERIALIZE_CAP,
     Partition,
     build_base_partition,
     derive_parameters,
     partition_from_groups,
     refine,
 )
-from ic_alloc.errors import InstanceTooLarge, InvalidPhi
+from ic_alloc.errors import InstanceTooLarge, InvalidArgument, InvalidPhi
 from ic_alloc.metrics import pi_of
 from ic_alloc.tasks import TaskSet
 
@@ -204,6 +206,23 @@ def test_random_partition_has_near_full_footprints():
     n, N = 30, 5
     fp = random_partition(TaskSet.full(n, 2), N, seed=0)
     assert pi_of(fp) >= 25
+
+
+def test_baselines_refuse_n_over_the_cap_before_allocating():
+    # a group apiece at N = 10^7 + 1 would take hundreds of MB
+    x, over = TaskSet.from_edges(8, 2, [(1, 2), (3, 4)]), DEFAULT_MATERIALIZE_CAP + 1
+    tracemalloc.start()
+    try:
+        for call in (lambda: lex_partition(x, over), lambda: random_partition(x, over, seed=1)):
+            with pytest.raises(InstanceTooLarge, match=f"^N = {over} groups exceeds the cap "):
+                call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    for call in (lambda: lex_partition(x, 0), lambda: random_partition(x, 0, seed=1)):
+        with pytest.raises(InvalidArgument, match="^need N >= 1, got 0$"):
+            call()
 
 
 @pytest.mark.parametrize("N", [3, 5])

@@ -721,6 +721,13 @@ def test_assign_tasks_builds_the_eligible_placement_once_per_parameters(monkeypa
     assert first.placement == eligible_placement(derive_parameters(64, 2, 10))
 
 
+def test_assign_tasks_returns_one_placement_per_parameters():
+    tasks = TaskSet.from_edges(64, 2, [(1, 2), (5, 60), (33, 64)])
+    first = assign_tasks(derive_parameters(64, 2, 10), tasks)
+    second = assign_tasks(derive_parameters(64, 2, 10), tasks)
+    assert first.placement is second.placement is router(derive_parameters(64, 2, 10)).placement
+
+
 def test_eligible_placement_shape():
     params = derive_parameters(7, 2, 3)
     placement = eligible_placement(params)

@@ -18,7 +18,7 @@ import gc
 import pickle
 import random
 import tracemalloc
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from pathlib import Path
 
 import pytest
@@ -32,7 +32,7 @@ from ic_alloc.design import (
 )
 from ic_alloc.baselines import lex_partition
 from ic_alloc.formats import emit_partition, emit_tasks, parse_partition, parse_tasks
-from ic_alloc.harness import monte_carlo_delta
+from ic_alloc.harness import monte_carlo_delta, simulate_rounds
 from ic_alloc.metrics import delta_of, full_report, pi_of
 from ic_alloc.tasks import TaskSet, _Kept
 from ic_alloc.verify import run_invariant_checks
@@ -123,6 +123,13 @@ def test_the_runs_cover_every_rank_once(n, d, N):
     edges = prime.full.edges
     assert list(chain.from_iterable(edges[lo:hi] for lo, hi in zip(los, his))) == list(
         chain.from_iterable(prime))
+    # so do the construction's groups, label b0's slices b0 + j * N' one after another, each
+    # from its start: the length of the groups before it in that order
+    groups = base.groups
+    order = sorted(range(base.N), key=lambda b: (b % base.params.N_prime, b))
+    assert list(chain.from_iterable(groups[b] for b in order)) == list(chain.from_iterable(prime))
+    assert [groups.starts[b] for b in order] == list(
+        accumulate((len(groups[b]) for b in order[:-1]), initial=0))
 
 
 def test_a_new_parameter_set_refines_by_its_own_runs(set_path):
@@ -314,7 +321,7 @@ def test_no_module_keeps_a_registry_keyed_by_identity():
 
 def test_design_alone_reads_the_marks():
     # the marks that make blindness verifiable are set and read in one module
-    marks, found = {"of", "inside", "runs", "labels"}, []
+    marks, found = {"of", "inside", "runs", "labels", "starts"}, []
     for path in sorted((Path(design.__file__).parent).glob("*.py")):
         if path.name == "design.py":
             continue
@@ -448,6 +455,13 @@ def _behaves_as(fresh, made: tuple):
     assert all(t in fresh() for t in made[:3]) and (0,) not in fresh()
     for total in (fresh() + made, made + fresh(), fresh() + fresh()):
         assert type(total) is tuple and total == made + made
+    for times in (0, 2):
+        for repeated in (fresh() * times, times * fresh()):
+            assert type(repeated) is tuple and repeated == made * times
+    assert fresh() <= made <= fresh() and fresh() >= made >= fresh()
+    assert not fresh() < made and not made < fresh() and not fresh() > made
+    assert fresh() < other and other > fresh() and fresh() <= other and not fresh() >= other
+    assert sorted([other, fresh(), fresh()]) == [made, made, other]
     assert repr(fresh()) == repr(made)
     again = pickle.loads(pickle.dumps(fresh()))
     assert type(again) is tuple and again == made
@@ -514,6 +528,12 @@ def test_a_blind_round_makes_no_tuple(phi, made):
 def test_monte_carlo_makes_no_tuple(made):
     summary = monte_carlo_delta(121, 3, 40, 0.5, 2, 7)
     assert summary.trials == 2 and made == []
+
+
+def test_simulate_rounds_makes_no_tuple(made):
+    # its feasibility check reads each refined group unmade, as the reports do
+    result = simulate_rounds(121, 3, 40, [ThinningSpec(phi=0.5, seed=s) for s in (1, 2)])
+    assert result.verdict == "PASS" and len(result.reports) == 2 and made == []
 
 
 def test_len_counts_the_keep_bytes_of_the_complete_set_alone():

@@ -31,6 +31,7 @@ from __future__ import annotations
 import warnings
 from array import array
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, compress, cycle, islice, repeat
 from operator import ne
@@ -327,16 +328,15 @@ def _within_placement(p: Partition) -> bool:
 
 class _SupportClass(NamedTuple):
     """The tuples with support I (touching the excluded tail or not): their block universe
-    with its count_below prefix tables, their number, the number of labels containing I
+    with its count_below prefix tables, their number and the number of labels containing I
     (each takes a near-equal contiguous range of the class's lexicographic ranks, in label
-    order) and, once a tuple is routed through the class, the rank of each label met."""
+    order)."""
 
     I: tuple[int, ...]
     blocks: list[Block]
     tables: list[PrefixTables]
     size: int
     labels: int
-    ranks: list[int]
 
 
 class Router:
@@ -345,11 +345,12 @@ class Router:
 
     A label is its rank b0 among the d-subsets sigma of [f], N' - sum_i C(f - sigma_i, d - i)
     (i from 0), the sum of _weights[i][sigma_i].  Built on first use, it keeps each non-empty
-    support class, the prefix tables of each block shape, each split label's cut tuples, the
-    label ranks of each class routed through (8 bytes for each of its C(f - |I|, d - |I|)
-    labels) and placement (N references to N' tuples of s*d + g files).  After 20,000 stream
-    tuples that is 0.16 MB at (600, 3, 200); at (10000, 5, 10^7), 81 MB of ranks for uniform
-    tuples and 480 MB for tuples local to two families, 386 MB of it the 67 one-family classes.
+    support class, the prefix tables of each block shape, the cut tuples of each split label's
+    non-empty slices, the rank of each label a routed tuple met, by its support set I and j
+    (one dict per I, which both classes of I share), and placement (N references to N' tuples
+    of s*d + g files).  So what routing keeps grows with the classes and labels it meets, not
+    with N'.  After 20,000 stream tuples that is 0.17 MB at (600, 3, 200); at (10000, 5, 10^7),
+    where they meet 13,860 labels, the ranks take 2.2 MB with their int objects.
     """
 
     def __init__(self, params: ICParameters):
@@ -359,6 +360,7 @@ class Router:
         self._classes: dict[tuple[tuple[int, ...], bool], _SupportClass] = {}
         self._shapes: dict[tuple[int, ...], PrefixTables] = {}
         self._cuts: dict[int, list[DTuple]] = {}
+        self._ranks: defaultdict[tuple[int, ...], dict[int, int]] = defaultdict(dict)
 
     def support_class(self, I: tuple[int, ...], exc: bool) -> _SupportClass | None:
         """The support class (I, exc), built on first use, or None when no
@@ -373,7 +375,7 @@ class Router:
             if not count:
                 return None
             cls = self._classes[I, exc] = _SupportClass(
-                I, blocks, prefix_tables(blocks, self._shapes), count, m_beta(p.f, p.d, len(I)), [])
+                I, blocks, prefix_tables(blocks, self._shapes), count, m_beta(p.f, p.d, len(I)))
         return cls
 
     def classes_within(self, families) -> Iterator[_SupportClass]:
@@ -408,16 +410,10 @@ class Router:
                     fams.append(i)
         if len(fams) == p.d:
             return b0
-        I = tuple(fams)
-        cls = self.support_class(I, t[-1] > n_prime)
+        cls = self.support_class(I := tuple(fams), t[-1] > n_prime)
         j = block_index(cls.size, cls.labels, count_below(t, cls.blocks, p.d, cls.tables) + 1)
-        if not I:  # the class touching only the tail deals its j-th range to label j
-            return j
-        ranks = cls.ranks
-        if not ranks:  # the class's first routed tuple
-            ranks.extend(repeat(0, cls.labels))
-        ranks[j - 1] = ranks[j - 1] or self.eligible_rank(I, j)
-        return ranks[j - 1]
+        ranks = self._ranks[I]  # the j-th label containing I, ranked once when first met
+        return ranks.get(j) or ranks.setdefault(j, self.eligible_rank(I, j))
 
     def route(self, t: DTuple) -> int:
         """Group index in [1, N] of a validated d-tuple t."""
@@ -458,15 +454,12 @@ class Router:
         return below + 1
 
     def _label_cuts(self, sigma: tuple[int, ...], parts: int) -> list[DTuple]:
-        """The first member of each of the label's slices after the first.
-        An empty slice (fewer members than slices) gets (n + 1,), which
-        sorts after every d-tuple."""
+        """The first member of each of the label's non-empty slices after the first.  Empty
+        slices (fewer members than slices) come last and no tuple is routed to one, so they
+        need no cut."""
         pieces, total = self.pieces(sigma)
-        cuts = []
-        for j in range(2, parts + 1):
-            first, _ = block_bounds(total, parts, j)
-            cuts.append(self._member_at(first, pieces) if first <= total else (self.params.n + 1,))
-        return cuts
+        return [self._member_at(block_bounds(total, parts, j)[0], pieces)
+                for j in range(2, min(parts, total) + 1)]
 
     def _member_at(self, position: int, pieces) -> DTuple:
         """The group member at a 1-based position: the largest d-tuple whose

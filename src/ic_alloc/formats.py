@@ -3,7 +3,7 @@
 Task sets are plain text: a header line "n d m", then m edge lines of d
 space-separated ascending file indices.  '#' starts a comment; blank lines
 are ignored.  Metadata comments of the form "# key: value" are recognized
-for format_version (which must be 1), phi, seed, and generator.
+for format_version (which must be 1), phi (in [0, 1]), seed, and generator.
 
 Partitions are one JSON document (format_version, n, d, N, case, params, groups,
 footprints, metadata); parse_partition checks the groups (design.validate_groups)
@@ -50,6 +50,8 @@ def _read_lines(lines):
                 if key in _TASK_META_TYPES:
                     try:
                         meta[key] = _TASK_META_TYPES[key](value)
+                        if key == "phi" and not 0 <= meta[key] <= 1:  # NaN fails this too
+                            raise ValueError
                     except ValueError:
                         raise ParseError(f"bad {key} value {value!r}", lineno)
         parts = raw.split()

@@ -943,6 +943,10 @@ BAD_INPUTS = {
         "--trials", "1", "--seed", "3"],
     "eval-tasks-phi-not-a-number": lambda tmp: _eval_tasks_argv(tmp, "phi: zz"),
     "eval-tasks-seed-not-an-integer": lambda tmp: _eval_tasks_argv(tmp, "seed: abc"),
+    # NaN would be written into the partition JSON as the bare token NaN, which is not JSON
+    "partition-tasks-phi-nan": lambda tmp: [
+        "partition", "--n", "7", "--d", "2", "--workers", "3",
+        "--tasks", _tasks_with_comment(tmp, "phi: nan")],
     "eval-tasks-outside-the-partition": _eval_tasks_outside_the_partition,
     "thin-beyond-the-byte-budget": lambda tmp: [
         "thin", "--n", "5000", "--d", "3", "--phi", "0.5", "--seed", "1"],

@@ -624,6 +624,52 @@ def test_router_memory_after_routing_stream_tuples():
     assert peak <= 0.196e6
 
 
+def test_router_memory_grows_with_the_labels_met_not_with_each_class_labels():
+    """At n=2828, d=2, N=10^6 there are k = 1,414 families of 2 files, so each
+    one-family class has 1,413 labels; routing one tuple into each of 500 such
+    classes keeps the rank of the one label each meets, and peaks at no more
+    than 2 MB traced (a list of every class's labels took 6.57 MB)."""
+    gc.disable()  # as in the test above: no collection inside the window
+    try:
+        params = derive_parameters(2828, 2, 10**6)
+        assert (params.k, params.s) == (1414, 2)
+        tracemalloc.start()
+        rt = Router(params)
+        for x in range(1, 501):
+            rt.route((2 * x - 1, 2 * x))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak <= 2e6
+
+
+def test_router_ranks_each_label_met_once(monkeypatch):
+    """Routing 20,000 stream tuples ranks each (I, j) it meets once, shared by
+    the classes of I with and without the tail."""
+    calls = []
+    eligible_rank = Router.eligible_rank
+    monkeypatch.setattr(Router, "eligible_rank",
+                        lambda self, I, j: calls.append((I, j)) or eligible_rank(self, I, j))
+    rt = Router(derive_parameters(600, 3, 200))
+    for t in _stream_tuples(20_000, seed=23):
+        rt.route(t)
+    met = [(I, j) for I, ranks in rt._ranks.items() for j in ranks]
+    assert sorted(calls) == sorted(met) and len(set(calls)) == len(calls)
+
+
+def test_router_builds_no_cut_for_an_empty_slice():
+    """At n=10, d=2, N=10^5 every label is split into thousands of slices but
+    holds one tuple (k = n), so every slice after its first is empty: routing
+    all 45 tuples matches the materialized membership and keeps no cut."""
+    params = derive_parameters(10, 2, 10**5)
+    assert params.k == params.n and params.q > 1
+    membership = {t: b for b, g in enumerate(build_base_partition(params).groups, 1) for t in g}
+    rt = Router(params)
+    assert {t: rt.route(t) for t in enumerate_lex(10, 2)} == membership
+    assert not any(rt._cuts.values())
+
+
 def test_assign_rejects_wrong_arity():
     params = derive_parameters(6, 2, 3)
     with pytest.raises(InvalidDimensions):
@@ -716,7 +762,7 @@ def test_assign_tasks_builds_the_eligible_placement_once_per_parameters(monkeypa
     first = assign_tasks(derive_parameters(64, 2, 10), tasks)
     second = assign_tasks(derive_parameters(64, 2, 10), tasks)
     assert len(built) == 1
-    # each call lays out its own N entries, all of them the Router's label tuples
+    # both calls return the Router's one placement, entry for entry the same tuples
     assert all(map(operator.is_, first.placement, second.placement))
     assert first.placement == eligible_placement(derive_parameters(64, 2, 10))
 

@@ -98,6 +98,10 @@ PARSE_TASKS_ERRORS = [
     ("4 2 2\n1 2\n", ParseError, "header announced 2 edges but 1 were given", None),
     ("4 2 1\n1 2\n1 3\n", ParseError, "header announced 1 edges but 2 were given", None),
     ("# phi: zz\n4 2 0\n", ParseError, "line 1: bad phi value 'zz'", 1),
+    ("# phi: nan\n4 2 0\n", ParseError, "line 1: bad phi value 'nan'", 1),
+    ("# phi: inf\n4 2 0\n", ParseError, "line 1: bad phi value 'inf'", 1),
+    ("# phi: 1.5\n4 2 0\n", ParseError, "line 1: bad phi value '1.5'", 1),
+    ("4 2 0\n# phi: -0.25\n", ParseError, "line 2: bad phi value '-0.25'", 2),
     ("4 2 1\n1 2\n# seed: abc\n", ParseError, "line 3: bad seed value 'abc'", 3),
     ("4 2 1\n1 2  # seed: 1.5\n", ParseError, "line 2: bad seed value '1.5'", 2),
     ("# format_version: 99\n4 2 0\n", ParseError,

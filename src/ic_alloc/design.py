@@ -34,7 +34,8 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from functools import cached_property, lru_cache, reduce
 from itertools import chain, combinations, compress, cycle, islice, repeat
-from operator import ne
+from operator import itemgetter, ne, sub
+from struct import unpack_from
 from typing import Iterator, NamedTuple
 
 from .combinatorics import (DTuple, _rank, as_text, binomial, lex_unrank, validate_dtuple,
@@ -199,10 +200,10 @@ def support_of(t, params: ICParameters) -> SupportInfo:
 
 
 class _Groups(tuple):
-    """A construction's groups carry the rank ranges `runs` that cut them from a complete set,
-    in label order (see _prime_partition), and `starts`, where each group begins in that order;
-    they and each refine, the placement their groups lie `inside`, which counts only where it is
-    their partition's own (else scans are full).  Only this module sets and reads them."""
+    """A construction's groups carry `runs`, which gathers keep bytes along the rank ranges that cut
+    them from a complete set (see _prime_partition), and `starts`, where each group begins in label
+    order; they and each refine, the placement their groups lie `inside`, which counts only where it
+    is their partition's own (else scans are full).  Only this module sets and reads them."""
 
 
 @lru_cache(maxsize=2)
@@ -215,9 +216,11 @@ def _prime_partition(n: int, d: int, k: int) -> _Groups:
     tuples after each (d - 1)-prefix form a run per family (or the tail) of
     their last element, each inside one support class of the Router for
     (n, d, C(k, d)), which deals its ranks in near-equal contiguous ranges to
-    its eligible labels, so every label fills in order.  `runs` keeps the
-    ranges dealt as arrays of 0-based starts and ends in label order, 4 bytes
-    a bound, each range joined to the next where it ends as that begins.
+    its eligible labels, so every label fills in order.  `runs` gathers keep
+    bytes along the ranges dealt, each joined to the next where it ends as that
+    begins: b"".join(pick(unpack_from(form, keep))) in C, where the struct format
+    form cuts the ranks into ranges in rank order after an empty field (so one
+    range still picks a tuple) and pick lists their fields in label order.
     Cached on (n, d, k) because every N with the same k shares it.
     """
     rt = Router(_derive(n, d, binomial(k, d)))
@@ -259,11 +262,16 @@ def _prime_partition(n: int, d: int, k: int) -> _Groups:
                 st[1] += o, o + size
                 o += size
     bounds = list(chain.from_iterable(spans))
-    apart = list(map(ne, bounds[1:-1:2], bounds[2::2]))  # false where two ranges join
-    merged = array("I", compress(bounds, chain((1,), chain.from_iterable(zip(apart, apart)), (1,))))
+    apart = map(ne, bounds[1:-1:2], bounds[2::2])  # false where two ranges join
+    firsts = list(compress(bounds[::2], chain((1,), apart)))  # each range's start, label order
+    ranked = sorted(firsts)  # the ranges tile the ranks: each ends where the next one starts
+    sizes = tuple(map(sub, [*ranked[1:], len(full.edges)], ranked))
+    field = dict(zip(ranked, range(1, len(ranked) + 1)))  # each range's field, after field 0
+    gather = "0s" + "%ds" * len(sizes) % sizes, itemgetter(0, *map(field.__getitem__, firsts))
+    del bounds, apart, firsts, ranked, sizes, field  # freed before the groups are cut
     cut = full.edges.__getitem__
     out = _Groups(tuple(chain.from_iterable(map(cut, map(slice, b[::2], b[1::2])))) for b in spans)
-    out.full, out.runs = full, (merged[::2], merged[1::2])
+    out.full, out.runs = full, gather
     return out
 
 
@@ -297,10 +305,10 @@ def build_base_partition(params: ICParameters) -> Partition:
 def footprint(group, within: tuple[int, ...] = ()) -> tuple[int, ...]:
     """The distinct files a group of tuples touches, ascending.  Given files `within` that hold
     every tuple of the group, the scan stops once it has met them all; each check follows at
-    most 256 tuples, spread evenly over the whole group.  A _Kept group is read unmade."""
+    most 256 tuples spread evenly over the group (a _Kept not yet made: over its base, unmade)."""
     files: set[int] = set()
-    step = -(-len(group) // 256)  # batch i: every step-th tuple from tuple i
     keep = getattr(group, "keep", None)  # a _Kept not yet made: its batch i selects from base's
+    step = -(-len(group if keep is None else group.base) // 256)  # batch i: every step-th from i
     for i in range(step):
         files.update(chain.from_iterable(
             group[i::step] if keep is None else compress(group.base[i::step], keep[i::step])))
@@ -501,7 +509,7 @@ def refine(base: Partition, tasks: TaskSet) -> Partition:
     """Intersect each group with X.  The placement is copied unchanged from
     the base partition, so the file allocation is identical for every X.
     X holding keep bytes (see thin), against a construction's groups (which carry their runs,
-    see _Groups), joins those bytes along the runs and deals each group its own from its start,
+    see _Groups), gathers those bytes along the runs and deals each group its own from its start,
     as a _Kept (made when read); any other input (a parsed or copied X, a parsed or refined
     base) is intersected with each group as a set.  Groups marked inside mark their refine's."""
     if tasks.n != base.n or tasks.d != base.d:
@@ -513,7 +521,8 @@ def refine(base: Partition, tasks: TaskSet) -> Partition:
         wanted = frozenset(tasks.edges)
         groups = _Groups(tuple(filter(wanted.__contains__, g)) for g in base.groups)
     else:
-        kept = b"".join(map(keep.__getitem__, map(slice, *base.groups.runs)))
+        form, pick = base.groups.runs
+        kept = b"".join(pick(unpack_from(form, keep)))
         groups = _Groups(_Kept(g, kept[a:a + len(g)])
                          for g, a in zip(base.groups, base.groups.starts))
     if getattr(base.groups, "inside", None) is base.placement:

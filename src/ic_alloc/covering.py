@@ -14,9 +14,10 @@ Two families in the partition construction reduce to this shape:
 All counts are exact integers; "below" refers to the lexicographic
 order of the subsets as sorted tuples.
 
-count_below adds, per element, the completions of the smaller candidates;
-per block shape and count left these form a prefix table, shared by the
-layouts holding that shape, so a range of candidates is one subtraction.
+count_below walks t once, each element stepping at most one block on, and
+adds the completions of the smaller candidates; per block shape and count
+left these form a prefix table, shared by the layouts holding that shape,
+so a range of candidates is one subtraction.
 """
 
 from __future__ import annotations
@@ -83,29 +84,32 @@ def count_below(
     """Number of covering d-subsets lexicographically smaller than t.
 
     t itself need not belong to the universe; the walk stops as soon as a
-    prefix of t leaves it.  tables is prefix_tables(blocks, shapes).  A
-    call costs O(d * number of blocks) lookups; the first call that needs
-    a shape's table for some count builds it, width + 1 entries.
+    prefix of t leaves it.  tables is prefix_tables(blocks, shapes).  One
+    forward pass steps each element at most one block on, so a call costs
+    O(d) lookups; the first call that needs a shape's table for some count
+    builds it, width + 1 entries.
     """
-    total = prev = 0
-    bi, nb, hit = 0, len(blocks), False  # hit: an earlier element lies in block bi
-    for u, tj in zip(range(d - 1, -1, -1), t):
-        while True:
-            lo, hi = blocks[bi]
-            if lo > tj:
-                return total  # tj falls in a gap
-            va = prev + 1 if prev >= lo else lo
-            vb = tj - 1 if tj <= hi else hi
-            if va <= vb:
-                # a candidate v covers its own block; its completions draw u
-                # elements from the hi - v above it here and the later blocks
-                table = tables[bi][u]
-                total += table[hi - va + 1] - table[hi - vb]
-            if tj <= hi:
-                break  # tj lies in this block
-            if not hit or bi == nb - 1:
-                return total  # a block left behind, or tj above them all
+    total, bi, u = 0, 0, d
+    lo, hi = blocks[0]
+    va, top, row = lo, hi + 1, tables[0]  # va: the least candidate left in block bi
+    for tj in t[:d]:
+        u -= 1
+        # a candidate v covers its own block; its completions draw u elements
+        # from the hi - v above it here and the later blocks
+        if tj >= top:  # count the candidates left in block bi, then step once
+            if va < top:
+                total += row[u][top - va]
             bi += 1
-            hit = False
-        hit, prev = True, tj
+            if va == lo or bi == len(blocks):
+                return total  # a block left behind, or tj above them all
+            lo, hi = blocks[bi]
+            va, top, row = lo, hi + 1, tables[bi]
+            if tj >= top:
+                return total + row[u][top - lo]  # the new block left behind too
+        if va < tj:
+            table = row[u]
+            total += table[top - va] - table[top - tj]
+        elif tj < va:
+            return total  # tj falls in a gap
+        va = tj + 1
     return total

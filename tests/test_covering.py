@@ -1,6 +1,6 @@
 """The covering-subset engine against brute-force enumeration."""
 
-from itertools import combinations
+from itertools import combinations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,3 +51,27 @@ def test_count_below_for_foreign_tuples(blocks, u, data):
     )))
     expected = sum(1 for c in brute_covering(blocks, u) if c < t)
     assert count_below(t, blocks, u, prefix_tables(blocks, {})) == expected
+
+
+def test_count_below_matches_bruteforce_on_every_small_layout():
+    """Every layout of 1-3 blocks of widths 1-3, each after a gap of 0 or 1,
+    every u in 1..5 and every u-subset t of [1, last hi + 2], foreign tuples
+    included (147,011 cases): count_below(t) is the number of covering subsets
+    before t in the lex order of all u-subsets, and an element after the
+    u-th changes nothing."""
+    cases = 0
+    for nb in range(1, 4):
+        for widths, gaps in product(product(range(1, 4), repeat=nb), product(range(2), repeat=nb)):
+            blocks, lo = [], 1
+            for width, gap in zip(widths, gaps):
+                blocks.append((lo + gap, lo + gap + width - 1))
+                lo += gap + width
+            tables, top = prefix_tables(blocks, {}), blocks[-1][1] + 2
+            for u in range(1, 6):
+                covering, below = set(brute_covering(blocks, u)), 0
+                for t in combinations(range(1, top + 1), u):
+                    assert count_below(t, blocks, u, tables) == below, (blocks, t)
+                    assert count_below(t + (top + 1,), blocks, u, tables) == below
+                    below += t in covering
+                    cases += 1
+    assert cases == 147_011

@@ -658,6 +658,25 @@ def test_router_ranks_each_label_met_once(monkeypatch):
     assert sorted(calls) == sorted(met) and len(set(calls)) == len(calls)
 
 
+ROUTES_SHA256 = {  # (n, d, N, stream tuples, window) -> sha256 of their routes
+    (600, 3, 200, 4096, 86): "11ffde56e096a490d236fb4018b8cd8e6e1bbc00a3c9f85648350a5a721cbf07",
+    (10_000, 5, 10**7, 300, 278):
+        "89314622633dae506c4817db3e1410c9bc8b48cedaf558be86f838708fa13d77",
+}
+
+
+@pytest.mark.parametrize("n,d,N,count,window", sorted(ROUTES_SHA256))
+def test_routes_past_the_materialization_cap_golden_sha256(n, d, N, count, window):
+    """Past the cap no materialization can check a route, so the group indices
+    of seeded stream tuples (windows two families wide) are pinned; both
+    instances split labels, so the cuts are pinned too."""
+    rt = Router(derive_parameters(n, d, N))
+    routes = [rt.route(t) for t in _stream_tuples(count, seed=29, n=n, d=d, window=window)]
+    assert binomial(n, d) > design.DEFAULT_MATERIALIZE_CAP and rt._cuts
+    digest = hashlib.sha256(repr(routes).encode()).hexdigest()
+    assert digest == ROUTES_SHA256[n, d, N, count, window]
+
+
 def test_router_builds_no_cut_for_an_empty_slice():
     """At n=10, d=2, N=10^5 every label is split into thousands of slices but
     holds one tuple (k = n), so every slice after its first is empty: routing
